@@ -9,9 +9,10 @@
 /// A compact per-tree filter that answers "is this query range
 /// provably cold?" without walking the tree. If provablyCold(Lo, Hi)
 /// returns true, no positive-count non-root node is fully contained
-/// in [Lo, Hi], so RapTree::estimateRange is zero bit-exactly and the
-/// query walks can be skipped (the bracket's upper bound reduces to
-/// the endpoint ancestor chains — see RapTree::estimateRangeBounds).
+/// in [Lo, Hi], so RapTree::estimateRange is zero bit-exactly and its
+/// walk can be skipped. estimateRangeBounds does not consult it: its
+/// upper bound still needs the endpoint ancestor chains, which is all
+/// its walk visits.
 ///
 /// Soundness rests on how RapTree::estimateRange works: only nodes
 /// fully contained in the query contribute, and every contribution

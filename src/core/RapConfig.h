@@ -112,8 +112,8 @@ struct RapConfig {
   uint64_t AdmissionSeed = 0x9e3779b97f4a7c15ULL;
 
   /// Maintains the warm-prefix bitmap (core/RangeFence.h) that lets
-  /// estimateRange / estimateRangeBounds answer provably-cold queries
-  /// without walking the tree, and lets topK skip all-zero subtrees.
+  /// estimateRange answer provably-cold queries without walking the
+  /// tree.
   /// Pure query acceleration: every estimate is bit-identical with
   /// the fence on or off (rap_fuzz --fence checks exactly that), so
   /// the flag is deliberately NOT serialized — a restored snapshot

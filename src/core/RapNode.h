@@ -88,7 +88,8 @@ public:
   /// Total weight of this node plus all descendants. This is the RAP
   /// estimate for the number of stream events in [lo(), hi()]; it is
   /// always a lower bound on the true count (Sec 4.3). Saturates at
-  /// 2^64-1 like the counters themselves.
+  /// 2^64-1 like the counters themselves. O(1): a read of the arena's
+  /// eagerly maintained subtree-sum column.
   uint64_t subtreeWeight() const;
 
   /// Number of nodes in this subtree including this node.
@@ -103,7 +104,7 @@ namespace detail {
 
 /// Slab storage for every node of one tree, structure-of-arrays.
 ///
-/// Node ids are 32-bit indices into four parallel vectors. The children
+/// Node ids are 32-bit indices into five parallel vectors. The children
 /// of a split node are one contiguous id block, so locating the child
 /// covering X needs only the parent's packed navigation word:
 ///
@@ -118,6 +119,18 @@ namespace detail {
 /// merges) are recycled through per-size free lists; a merged-back
 /// child inside a still-live block is only flagged dead so a later
 /// re-split revives it in place.
+///
+/// Sums is the subtree-sum column: for every live node,
+///
+///   Sums[n] == Counts[n] + sum of Sums[c] over live children c
+///
+/// (saturating at 2^64-1), so subtreeWeight() is one load and a range
+/// read only walks the two boundary paths. It is maintained eagerly:
+/// RapTree::addPoint adds the event weight on every level of its
+/// descent, fresh and revived slots start at 0 (the parent's sum is
+/// unchanged by a split), and a merge fold moves weight from a child
+/// into its parent's counter under the same parent sum, so merges
+/// leave every live entry as it was. Dead slots hold stale values.
 struct NodeArena {
   static constexpr uint32_t InvalidIndex = 0xffffffffu;
   static constexpr uint64_t DeadBit = uint64_t(1) << 63;
@@ -126,6 +139,7 @@ struct NodeArena {
 
   std::vector<uint64_t> Los;    ///< lo() per node.
   std::vector<uint64_t> Counts; ///< own counter per node.
+  std::vector<uint64_t> Sums;   ///< subtree weight per node (see above).
   std::vector<uint64_t> Navs;   ///< packed navigation word per node.
   std::vector<uint8_t> Widths;  ///< widthBits() per node.
 
@@ -156,6 +170,19 @@ struct NodeArena {
            (uint64_t(SlotLog2) << 40);
   }
 
+  /// Calls \p F with the id of every live child of \p Node, in slot
+  /// (ascending lo) order.
+  template <typename Fn> void forEachLiveChild(uint32_t Node, Fn &&F) const {
+    uint64_t Nav = Navs[Node];
+    if (navIsLeaf(Nav))
+      return;
+    uint32_t First = navFirstChild(Nav);
+    uint32_t End = First + (uint32_t(1) << navSlotLog2(Nav));
+    for (uint32_t Child = First; Child != End; ++Child)
+      if (!navIsDead(Navs[Child]))
+        F(Child);
+  }
+
   /// Creates the root node (id 0) covering [0, 2^RangeBits).
   void initRoot(unsigned RangeBits);
 
@@ -176,8 +203,24 @@ struct NodeArena {
   /// Never throws (see freeBlock).
   void killSubtree(uint32_t Node) noexcept;
 
-  uint64_t subtreeWeight(uint32_t Node) const;
+  uint64_t subtreeWeight(uint32_t Node) const { return Sums[Node]; }
   uint64_t subtreeNodeCount(uint32_t Node) const;
+
+  /// Re-derives Sums for the subtree at \p Node from its counters in
+  /// one post-order pass and returns Sums[Node]. Only the bulk paths
+  /// that write counters directly (snapshot restore) need it.
+  uint64_t resum(uint32_t Node);
+
+  /// Bytes reserved by the slab vectors (capacity, not size).
+  uint64_t slabBytes() const;
+
+  /// hi() of \p Node (inclusive).
+  uint64_t hiOf(uint32_t Node) const {
+    unsigned Width = Widths[Node];
+    if (Width == 64)
+      return ~uint64_t(0);
+    return Los[Node] + ((uint64_t(1) << Width) - 1);
+  }
 
   const RapNode *handle(uint32_t Node) const { return &Handles[Node]; }
 
@@ -190,12 +233,7 @@ private:
 
 inline uint64_t RapNode::lo() const { return Arena->Los[Index]; }
 
-inline uint64_t RapNode::hi() const {
-  unsigned Width = Arena->Widths[Index];
-  if (Width == 64)
-    return ~uint64_t(0);
-  return Arena->Los[Index] + ((uint64_t(1) << Width) - 1);
-}
+inline uint64_t RapNode::hi() const { return Arena->hiOf(Index); }
 
 inline unsigned RapNode::widthBits() const { return Arena->Widths[Index]; }
 

@@ -42,6 +42,7 @@ void NodeArena::initRoot(unsigned RangeBits) {
   assert(Los.empty() && "root already created");
   Los.push_back(0);
   Counts.push_back(0);
+  Sums.push_back(0);
   Navs.push_back(LeafNav);
   Widths.push_back(static_cast<uint8_t>(RangeBits));
   Handles.push_back(RapNode(this, 0));
@@ -58,13 +59,14 @@ uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
   size_t NumSlots = size_t(1) << SlotLog2;
   size_t Old = Navs.size();
   assert(Old + NumSlots < InvalidIndex && "arena exceeds 32-bit node ids");
-  // Grow all four slabs plus the handle pool under a rollback guard:
+  // Grow all five slabs plus the handle pool under a rollback guard:
   // if any later growth throws, the earlier ones shrink back so the
   // arena never exposes a half-grown slot range (shrinking never
   // throws for these element types).
   try {
     Los.resize(Old + NumSlots);
     Counts.resize(Old + NumSlots);
+    Sums.resize(Old + NumSlots);
     Navs.resize(Old + NumSlots);
     Widths.resize(Old + NumSlots);
     for (size_t I = Old; I != Old + NumSlots; ++I)
@@ -72,6 +74,7 @@ uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
   } catch (...) {
     Los.resize(Old);
     Counts.resize(Old);
+    Sums.resize(Old);
     Navs.resize(Old);
     Widths.resize(Old);
     while (Handles.size() > Old)
@@ -92,6 +95,7 @@ uint32_t NodeArena::allocChildren(uint32_t Parent, unsigned ChildBits,
     size_t Child = First + Slot;
     Los[Child] = ParentLo + (static_cast<uint64_t>(Slot) << ChildBits);
     Counts[Child] = 0;
+    Sums[Child] = 0;
     Navs[Child] = InitNav;
     Widths[Child] = static_cast<uint8_t>(ChildBits);
   }
@@ -134,34 +138,27 @@ void NodeArena::killSubtree(uint32_t Node) noexcept {
   Counts[Node] = 0;
 }
 
-uint64_t NodeArena::subtreeWeight(uint32_t Node) const {
+uint64_t NodeArena::resum(uint32_t Node) {
   uint64_t Total = Counts[Node];
-  uint64_t Nav = Navs[Node];
-  if (navIsLeaf(Nav))
-    return Total;
-  uint32_t First = navFirstChild(Nav);
-  size_t NumSlots = size_t(1) << navSlotLog2(Nav);
-  for (size_t Slot = 0; Slot != NumSlots; ++Slot) {
-    uint32_t Child = First + static_cast<uint32_t>(Slot);
-    if (!navIsDead(Navs[Child]))
-      Total = saturatingAdd(Total, subtreeWeight(Child));
-  }
-  return Total;
+  forEachLiveChild(Node, [&](uint32_t Child) {
+    Total = saturatingAdd(Total, resum(Child));
+  });
+  return Sums[Node] = Total;
 }
 
 uint64_t NodeArena::subtreeNodeCount(uint32_t Node) const {
   uint64_t Total = 1;
-  uint64_t Nav = Navs[Node];
-  if (navIsLeaf(Nav))
-    return Total;
-  uint32_t First = navFirstChild(Nav);
-  size_t NumSlots = size_t(1) << navSlotLog2(Nav);
-  for (size_t Slot = 0; Slot != NumSlots; ++Slot) {
-    uint32_t Child = First + static_cast<uint32_t>(Slot);
-    if (!navIsDead(Navs[Child]))
-      Total += subtreeNodeCount(Child);
-  }
+  forEachLiveChild(Node,
+                   [&](uint32_t Child) { Total += subtreeNodeCount(Child); });
   return Total;
+}
+
+uint64_t NodeArena::slabBytes() const {
+  auto Bytes = [](const auto &...Slab) {
+    return ((static_cast<uint64_t>(Slab.capacity()) * sizeof(Slab[0])) +
+            ...);
+  };
+  return Bytes(Los, Counts, Sums, Navs, Widths);
 }
 
 //===----------------------------------------------------------------------===//
@@ -190,14 +187,8 @@ uint64_t RapTree::rebuildFenceWalk(uint32_t Node) {
     if (Node != 0 && Fence.enabled())
       Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
   }
-  uint64_t Nav = Arena.Navs[Node];
-  if (NodeArena::navIsLeaf(Nav))
-    return Warm;
-  uint32_t First = NodeArena::navFirstChild(Nav);
-  unsigned NumSlots = 1u << NodeArena::navSlotLog2(Nav);
-  for (unsigned Slot = 0; Slot != NumSlots; ++Slot)
-    if (!NodeArena::navIsDead(Arena.Navs[First + Slot]))
-      Warm += rebuildFenceWalk(First + Slot);
+  Arena.forEachLiveChild(
+      Node, [&](uint32_t Child) { Warm += rebuildFenceWalk(Child); });
   return Warm;
 }
 
@@ -235,14 +226,6 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   NodeArena &Arena = Tree->Arena;
   Arena.Counts[0] = std::get<2>(Nodes[0]);
   unsigned BitsPerLevel = Config.bitsPerLevel();
-  uint64_t TotalCount = std::get<2>(Nodes[0]);
-
-  auto NodeHi = [&Arena](uint32_t Node) {
-    unsigned Width = Arena.Widths[Node];
-    if (Width == 64)
-      return ~uint64_t(0);
-    return Arena.Los[Node] + ((uint64_t(1) << Width) - 1);
-  };
 
   // Preorder insertion: a maintained stack of the current ancestor
   // path places each node under its deepest enclosing predecessor.
@@ -256,7 +239,7 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
       return Fail("node range not aligned to its width");
     uint64_t Hi = Lo + Width - 1;
     while (!Path.empty() &&
-           !(Arena.Los[Path.back()] <= Lo && Hi <= NodeHi(Path.back())))
+           !(Arena.Los[Path.back()] <= Lo && Hi <= Arena.hiOf(Path.back())))
       Path.pop_back();
     if (Path.empty())
       return Fail("node not contained in any predecessor (not preorder)");
@@ -280,11 +263,12 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
       return Fail("duplicate node range");
     Arena.Navs[Child] = NodeArena::LeafNav;
     Arena.Counts[Child] = Count;
-    TotalCount = saturatingAdd(TotalCount, Count);
     Path.push_back(Child);
     ++Tree->NumNodes;
   }
-  if (TotalCount != NumEvents)
+  // Counters were written directly: derive the subtree-sum column
+  // (whose root entry is the saturating total) before the budget pass.
+  if (Arena.resum(0) != NumEvents)
     return Fail("node counts do not sum to the recorded event total");
   Tree->NumEvents = NumEvents;
   Tree->MaxNumNodes = Tree->NumNodes;
@@ -307,25 +291,40 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   return Tree;
 }
 
-uint32_t RapTree::descendIndex(uint64_t X) const {
-  // The descend touches only the Navs slab: one 64-bit load per level,
-  // and the child slot falls out of a shift-and-mask on X because every
-  // node's lo() is aligned to its width (no subtraction needed).
+/// The update descent: from the root to the smallest existing node
+/// covering \p X, calling \p Visit on every node of that path (root
+/// first). It touches only the Navs slab: one 64-bit load per level,
+/// and the child slot falls out of a shift-and-mask on X because every
+/// node's lo() is aligned to its width (no subtraction needed).
+/// \p Width enters as the root's widthBits and leaves as the landing
+/// node's, read off the parent's navigation word.
+template <typename VisitFn>
+static uint32_t descend(const NodeArena &Arena, uint64_t X, unsigned &Width,
+                        VisitFn Visit) {
   const uint64_t *NavData = Arena.Navs.data();
   uint32_t Node = 0;
   uint64_t Nav = NavData[0];
+  Visit(Node);
   while (!NodeArena::navIsLeaf(Nav)) {
+    unsigned Shift = NodeArena::navChildShift(Nav);
     uint32_t Child =
         NodeArena::navFirstChild(Nav) +
-        static_cast<uint32_t>((X >> NodeArena::navChildShift(Nav)) &
+        static_cast<uint32_t>((X >> Shift) &
                               lowBitMask(NodeArena::navSlotLog2(Nav)));
     uint64_t ChildNav = NavData[Child];
     if (NodeArena::navIsDead(ChildNav))
       break; // Sub-range was merged back into this node (Sec 3.3).
     Node = Child;
     Nav = ChildNav;
+    Width = Shift;
+    Visit(Node);
   }
   return Node;
+}
+
+uint32_t RapTree::descendIndex(uint64_t X) const {
+  unsigned Width = Config.RangeBits;
+  return descend(Arena, X, Width, [](uint32_t) {});
 }
 
 const RapNode &RapTree::findSmallestCover(uint64_t X) const {
@@ -343,7 +342,14 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
          "event outside the configured universe");
   NumEvents = saturatingAdd(NumEvents, Weight);
 
-  uint32_t Node = descendIndex(X);
+  // The descent adds the weight to the subtree sum of every node on
+  // its path. The landing width comes from the descent, so the split
+  // check below never loads Widths.
+  uint64_t *Sums = Arena.Sums.data();
+  unsigned Width = Config.RangeBits;
+  uint32_t Node = descend(Arena, X, Width, [Sums, Weight](uint32_t N) {
+    Sums[N] = saturatingAdd(Sums[N], Weight);
+  });
   uint64_t OldCount = Arena.Counts[Node];
   uint64_t NewCount = saturatingAdd(OldCount, Weight);
   Arena.Counts[Node] = NewCount;
@@ -355,7 +361,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   if (OldCount == 0) {
     ++WarmNodes;
     if (Node != 0 && Fence.enabled())
-      Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
+      Fence.markNode(Arena.Los[Node], Width);
   }
 
   // Split check (Sec 2.2): a counter that outgrew the threshold sprouts
@@ -365,7 +371,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   // behavior, Sec 3.3). With admission enabled a due split must first
   // win a randomized admission draw, so cold leaves that barely
   // crossed the threshold stay unsplit (no allocator touch at all).
-  if (Arena.Widths[Node] != 0 &&
+  if (Width != 0 &&
       static_cast<double>(NewCount) > Config.splitThreshold(NumEvents) &&
       (!Config.EnableAdmission || admitSplit(NewCount, Weight)))
     trySplit(Node, X, Weight);
@@ -550,6 +556,7 @@ void RapTree::splitNode(uint32_t Node) {
         continue;
       Arena.Navs[Child] = NodeArena::LeafNav;
       Arena.Counts[Child] = 0;
+      Arena.Sums[Child] = 0;
       ++NumNodes;
     }
   }
@@ -577,7 +584,8 @@ uint64_t RapTree::mergeWalk(uint32_t Node, double Threshold,
     if (static_cast<double>(ChildWeight) < Threshold) {
       // Fold the entire (already internally merged) child subtree into
       // this node: child counts are equally valid on the super-range
-      // (Sec 2.2 "Merge").
+      // (Sec 2.2 "Merge"). The weight stays under this node, so no
+      // subtree sum changes.
       Arena.Counts[Node] = saturatingAdd(Arena.Counts[Node], ChildWeight);
       if (FoldedWeight)
         *FoldedWeight = saturatingAdd(*FoldedWeight, ChildWeight);
@@ -604,6 +612,9 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
   // precision recorded by the shard is lost at union time (the absorb
   // merge pass re-compacts whatever is no longer warranted).
   Arena.Counts[Mine] = saturatingAdd(Arena.Counts[Mine], Theirs.count());
+  // Everything Theirs holds lands in this subtree; the children below
+  // add their own shares to their own sums.
+  Arena.Sums[Mine] = saturatingAdd(Arena.Sums[Mine], Theirs.subtreeWeight());
   if (!Theirs.hasChildren())
     return;
   unsigned BitsPerLevel = Config.bitsPerLevel();
@@ -624,6 +635,7 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
     if (NodeArena::navIsDead(Arena.Navs[Child])) {
       Arena.Navs[Child] = NodeArena::LeafNav;
       Arena.Counts[Child] = 0;
+      Arena.Sums[Child] = 0;
       ++NumNodes;
     }
     unionWith(Child, *TheirChild);
@@ -677,28 +689,43 @@ void RapTree::scheduleAfterMerge() {
 }
 
 uint64_t RapTree::arenaBytes() const {
-  uint64_t SlabBytes =
-      static_cast<uint64_t>(Arena.Los.capacity()) *
-      (sizeof(uint64_t) * 3 + sizeof(uint8_t));
   uint64_t HandleBytes =
       static_cast<uint64_t>(Arena.Handles.size()) * sizeof(RapNode);
-  return SlabBytes + HandleBytes;
+  return Arena.slabBytes() + HandleBytes;
 }
 
-uint64_t RapTree::estimateWalk(const RapNode &Node, uint64_t Lo,
-                               uint64_t Hi) const {
-  if (Node.lo() > Hi || Node.hi() < Lo)
-    return 0;
-  if (Lo <= Node.lo() && Node.hi() <= Hi)
-    return Node.subtreeWeight();
-  // Partial overlap: the node's own counter may account for events
-  // outside [Lo, Hi], so only descendants fully inside contribute.
-  // This keeps the estimate a guaranteed lower bound.
-  uint64_t Total = 0;
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      Total = saturatingAdd(Total, estimateWalk(*Child, Lo, Hi));
-  return Total;
+void RapTree::straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
+                           uint64_t Lo, uint64_t Hi,
+                           RangeBounds &Bounds) const {
+  // The node intersects [Lo, Hi] without lying inside it, so its own
+  // counter may hold events on either side of an endpoint: it counts
+  // toward Upper only, which keeps Lower a guaranteed lower bound.
+  Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Counts[Node]);
+  uint64_t Nav = Arena.Navs[Node];
+  if (NodeArena::navIsLeaf(Nav))
+    return;
+  // Visit only the slots overlapping the query. The ones strictly
+  // between the first and the last lie inside it and contribute their
+  // O(1) subtree sums; at most the two end slots straddle and recurse,
+  // so a read touches O(b) slots per level of the two boundary paths.
+  unsigned Shift = NodeArena::navChildShift(Nav);
+  uint32_t First = NodeArena::navFirstChild(Nav);
+  uint64_t NodeHi = NodeLo + lowBitMask(Width);
+  uint64_t FirstSlot = Lo > NodeLo ? (Lo - NodeLo) >> Shift : 0;
+  uint64_t LastSlot = Hi < NodeHi ? (Hi - NodeLo) >> Shift
+                                  : lowBitMask(NodeArena::navSlotLog2(Nav));
+  for (uint64_t Slot = FirstSlot; Slot <= LastSlot; ++Slot) {
+    uint32_t Child = First + static_cast<uint32_t>(Slot);
+    if (NodeArena::navIsDead(Arena.Navs[Child]))
+      continue; // Sub-range merged into this node: counted above.
+    uint64_t ChildLo = NodeLo + (Slot << Shift);
+    if (Lo <= ChildLo && ChildLo + lowBitMask(Shift) <= Hi) {
+      Bounds.Lower = saturatingAdd(Bounds.Lower, Arena.Sums[Child]);
+      Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Sums[Child]);
+    } else {
+      straddleWalk(Child, ChildLo, Shift, Lo, Hi, Bounds);
+    }
+  }
 }
 
 bool RapTree::rangeProvablyCold(uint64_t Lo, uint64_t Hi) const {
@@ -707,7 +734,7 @@ bool RapTree::rangeProvablyCold(uint64_t Lo, uint64_t Hi) const {
   // A query covering the whole universe contains the root, whose own
   // counter contributes even though the fence never tracks it; only
   // an empty stream makes that query cold.
-  if (Lo == 0 && Hi >= root().hi())
+  if (Lo == 0 && Hi >= Arena.hiOf(0))
     return NumEvents == 0;
   return Fence.provablyCold(Lo, Hi);
 }
@@ -716,91 +743,47 @@ uint64_t RapTree::estimateRange(uint64_t Lo, uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
   if (rangeProvablyCold(Lo, Hi))
     return 0;
-  return estimateWalk(root(), Lo, Hi);
-}
-
-/// Upper-bound companion of estimateWalk: every counter on a node
-/// intersecting the query may hold in-range events.
-static uint64_t upperWalk(const RapNode &Node, uint64_t Lo, uint64_t Hi) {
-  if (Node.lo() > Hi || Node.hi() < Lo)
-    return 0;
-  if (Lo <= Node.lo() && Node.hi() <= Hi)
-    return Node.subtreeWeight();
-  uint64_t Total = Node.count(); // straddling: possibly in range
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      Total = saturatingAdd(Total, upperWalk(*Child, Lo, Hi));
-  return Total;
-}
-
-/// upperWalk restricted to what can be nonzero on a fence-cold query:
-/// no positive node is fully contained in [Lo, Hi], so every
-/// fully-inside subtree weighs zero and only nodes STRADDLING an
-/// endpoint contribute their own counters. A node intersecting the
-/// query without being contained must cover Lo or Hi (its range
-/// extends past one end), so the walk follows just the two endpoint
-/// ancestor chains — O(depth) instead of a full overlap walk, and
-/// bit-identical to upperWalk by the argument above.
-static uint64_t coldUpperWalk(const RapNode &Node, uint64_t Lo,
-                              uint64_t Hi) {
-  uint64_t Total = Node.count();
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot)) {
-      bool HasLo = Child->lo() <= Lo && Lo <= Child->hi();
-      bool HasHi = Child->lo() <= Hi && Hi <= Child->hi();
-      if (HasLo || HasHi)
-        Total = saturatingAdd(Total, coldUpperWalk(*Child, Lo, Hi));
-    }
-  return Total;
+  return estimateRangeBounds(Lo, Hi).Lower;
 }
 
 RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
                                                   uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
   RangeBounds Bounds;
-  if (rangeProvablyCold(Lo, Hi)) {
-    Bounds.Lower = 0;
-    // Zero for the empty-stream full-universe case the cold check
-    // lets through; otherwise the endpoint chains still bound from
-    // above (wide straddling counters may hold in-range events).
-    Bounds.Upper = Lo == 0 && Hi >= root().hi()
-                       ? 0
-                       : coldUpperWalk(root(), Lo, Hi);
+  uint64_t RootHi = Arena.hiOf(0);
+  if (Lo > RootHi)
+    return Bounds;
+  if (Lo == 0 && Hi >= RootHi) {
+    Bounds.Lower = Bounds.Upper = Arena.Sums[0];
     return Bounds;
   }
-  Bounds.Lower = estimateWalk(root(), Lo, Hi);
-  Bounds.Upper = upperWalk(root(), Lo, Hi);
+  straddleWalk(0, 0, Config.RangeBits, Lo, Hi, Bounds);
   return Bounds;
 }
 
-uint64_t RapTree::hotWalk(const RapNode &Node, double Threshold,
-                          unsigned Depth, std::vector<HotRange> &Out) const {
-  // Preorder output position is reserved before visiting children so
-  // ancestors precede descendants; we patch the entry afterwards.
-  size_t MyIndex = Out.size();
-  Out.emplace_back();
-
-  uint64_t Exclusive = Node.count();
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      Exclusive =
-          saturatingAdd(Exclusive, hotWalk(*Child, Threshold, Depth + 1, Out));
-
-  bool IsHot = static_cast<double>(Exclusive) >= Threshold;
-  if (!IsHot) {
-    // Not hot: drop the reserved placeholder. Hot descendants appended
-    // after it keep their relative (preorder) order.
-    Out.erase(Out.begin() + static_cast<std::ptrdiff_t>(MyIndex));
+uint64_t RapTree::hotWalk(uint32_t Node, unsigned Depth, double Threshold,
+                          std::vector<HotRange> &Out) const {
+  // No node of a subtree lighter than the threshold can be hot (a
+  // node's exclusive weight never exceeds its subtree weight), and
+  // then the whole subtree weight is exclusive weight of the caller.
+  uint64_t Subtree = Arena.Sums[Node];
+  if (static_cast<double>(Subtree) < Threshold)
+    return Subtree;
+  uint64_t Exclusive = Arena.Counts[Node];
+  Arena.forEachLiveChild(Node, [&](uint32_t Child) {
+    Exclusive =
+        saturatingAdd(Exclusive, hotWalk(Child, Depth + 1, Threshold, Out));
+  });
+  if (!(static_cast<double>(Exclusive) >= Threshold))
     return Exclusive;
-  }
-
-  HotRange &H = Out[MyIndex];
-  H.Lo = Node.lo();
-  H.Hi = Node.hi();
-  H.WidthBits = Node.widthBits();
+  HotRange H;
+  H.Lo = Arena.Los[Node];
+  H.Hi = Arena.hiOf(Node);
+  H.WidthBits = Arena.Widths[Node];
   H.Depth = Depth;
   H.ExclusiveWeight = Exclusive;
-  H.SubtreeWeight = Node.subtreeWeight();
+  H.SubtreeWeight = Subtree;
+  Out.push_back(H);
   return 0; // Hot weight is not propagated to the parent (Sec 4.1).
 }
 
@@ -808,51 +791,44 @@ std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
   assert(Phi > 0.0 && Phi <= 1.0 && "hotness fraction out of range");
   std::vector<HotRange> Out;
   double Threshold = Phi * static_cast<double>(NumEvents);
-  hotWalk(root(), Threshold, 0, Out);
+  hotWalk(0, 0, Threshold, Out);
+  // The walk emits post-order. Node ranges are aligned and either
+  // nested or disjoint, so preorder is (Lo ascending, wider first).
+  std::sort(Out.begin(), Out.end(), [](const HotRange &A, const HotRange &B) {
+    if (A.Lo != B.Lo)
+      return A.Lo < B.Lo;
+    return A.WidthBits > B.WidthBits;
+  });
   return Out;
 }
 
-void RapTree::topKWalk(const RapNode &Node, unsigned Depth,
-                       uint64_t AncestorOwn, bool PruneCold,
+void RapTree::topKWalk(uint32_t Node, unsigned Depth, uint64_t AncestorOwn,
                        std::vector<TopKRange> &Out) const {
-  // A fence-cold non-root subtree holds only zero counters: every
-  // entry it would emit has Retained == 0 and can never displace the
-  // K positive-retained winners the caller established exist. Skip
-  // it before the subtreeWeight walk below, which is where topK's
-  // time actually goes. Warm nodes mark their own buckets, so no
-  // warm node can hide under a pruned ancestor.
-  if (PruneCold && Depth != 0 && Fence.provablyCold(Node.lo(), Node.hi()))
-    return;
   TopKRange R;
-  R.Lo = Node.lo();
-  R.Hi = Node.hi();
-  R.WidthBits = Node.widthBits();
+  R.Lo = Arena.Los[Node];
+  R.Hi = Arena.hiOf(Node);
+  R.WidthBits = Arena.Widths[Node];
   R.Depth = Depth;
-  R.Retained = Node.count();
+  R.Retained = Arena.Counts[Node];
   // Subtree weight is exactly estimateRange(Lo, Hi) for a node-aligned
   // range (a provable lower bound); the matching upper bound charges
   // every ancestor's own counter, since those events may fall anywhere
   // inside the ancestor's wider range.
-  R.LowerWeight = Node.subtreeWeight();
+  R.LowerWeight = Arena.Sums[Node];
   R.UpperWeight = saturatingAdd(R.LowerWeight, AncestorOwn);
   Out.push_back(R);
-  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, Node.count());
-  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
-      topKWalk(*Child, Depth + 1, ChildAncestorOwn, PruneCold, Out);
+  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, R.Retained);
+  Arena.forEachLiveChild(Node, [&](uint32_t Child) {
+    topKWalk(Child, Depth + 1, ChildAncestorOwn, Out);
+  });
 }
 
 std::vector<TopKRange> RapTree::topK(size_t K) const {
   std::vector<TopKRange> Out;
   if (K == 0)
     return Out;
-  // Cold subtrees may be skipped only when the K winners are all
-  // positive-retained, i.e. K does not reach into the zero-retained
-  // tail; otherwise the tail entries are part of the answer and the
-  // walk must visit everything.
-  bool PruneCold = Fence.enabled() && K <= WarmNodes;
   Out.reserve(NumNodes);
-  topKWalk(root(), 0, 0, PruneCold, Out);
+  topKWalk(0, 0, 0, Out);
   // Strict total order (node ranges are unique, so (Lo, WidthBits)
   // breaks every Retained tie): the k-nesting property topK(k) ⊆
   // topK(k+m) falls out of prefix-of-a-fixed-order.

@@ -25,8 +25,11 @@
 /// Nodes are stored in a slab arena with 32-bit indices (see
 /// RapNode.h): the update descend is one packed-word load per level
 /// with branchless child selection, and counters live in a
-/// structure-of-arrays layout. The semantics are bit-for-bit those of
-/// the original pointer-based tree, which survives as
+/// structure-of-arrays layout. The descend also keeps a per-node
+/// subtree-sum column current, so range reads walk only the two
+/// boundary paths (O(b * depth)) instead of every node in the range.
+/// The semantics are bit-for-bit those of the original pointer-based
+/// tree, which survives as
 /// verify/ReferenceRapTree and is cross-checked structurally by the
 /// DifferentialOracle.
 ///
@@ -218,7 +221,9 @@ public:
   /// Lower-bound estimate of the number of events in [Lo, Hi]
   /// (inclusive). Exact node-aligned queries return the subtree
   /// weight; arbitrary ranges sum the maximal fully-contained nodes.
-  /// The under-estimate is at most eps * n.
+  /// The under-estimate is at most eps * n. O(b * depth): only the two
+  /// boundary paths are walked, since every fully-contained node
+  /// contributes its O(1) subtree weight.
   uint64_t estimateRange(uint64_t Lo, uint64_t Hi) const;
 
   /// Deterministic bracket on a range count.
@@ -232,15 +237,19 @@ public:
   /// fully inside the query, Upper additionally charges the counters
   /// of every node straddling it (those events may or may not fall in
   /// the query). Upper - Lower <= eps * n for node-aligned queries.
+  /// One O(b * depth) walk of the two boundary paths, like
+  /// estimateRange.
   RangeBounds estimateRangeBounds(uint64_t Lo, uint64_t Hi) const;
 
   /// True when the range fence proves estimateRange(Lo, Hi) == 0
   /// without a walk: no positive counter can contribute to the query.
   /// False never means "warm" — only "walk the tree to find out" —
   /// and the fence being disabled (Config.EnableRangeFence off)
-  /// always answers false. estimateRange and estimateRangeBounds
-  /// consult this internally; it is public so batch consumers (the
-  /// sharded session, bench drivers) can count fence hits.
+  /// always answers false. estimateRange consults this before its
+  /// walk (estimateRangeBounds does not: on a cold query its walk
+  /// costs what the fence check saves); it is public so batch
+  /// consumers (the sharded session, the benchmarks) can count fence
+  /// hits.
   bool rangeProvablyCold(uint64_t Lo, uint64_t Hi) const;
 
   /// Warm buckets currently set in the fence bitmap (0 when the
@@ -253,7 +262,7 @@ public:
 
   /// Nodes whose own counter is positive. Maintained incrementally
   /// (first-touch in addPoint, re-derived on merge/absorb/restore);
-  /// topK uses it to decide when all-zero subtrees can be skipped.
+  /// a statistic for fence-occupancy reports.
   uint64_t numWarmNodes() const { return WarmNodes; }
 
   /// Streaming top-k hot-range report: the \p K tree ranges retaining
@@ -265,7 +274,9 @@ public:
   /// value whose exact count is at least the k-th Retained score plus
   /// the tree's error budget is covered by some reported range.
   /// Returns fewer than \p K entries when the tree has fewer nodes.
-  /// One O(numNodes) walk; no allocation beyond the result vector.
+  /// One O(numNodes) walk (every node's brackets are O(1) reads of the
+  /// subtree-sum column) plus an O(numNodes log K) partial sort; no
+  /// allocation beyond the result vector.
   std::vector<TopKRange> topK(size_t K) const;
 
   /// Due splits denied by the randomized admission gate (zero when
@@ -297,7 +308,8 @@ public:
   /// Extracts all hot ranges at hotness fraction \p Phi (Sec 4.1): a
   /// range is hot iff its count plus the weight of its non-hot
   /// sub-ranges is at least Phi * n. Results are in preorder
-  /// (ancestors before descendants).
+  /// (ancestors before descendants). One walk that skips every
+  /// subtree lighter than Phi * n, since no node in it can be hot.
   std::vector<HotRange> extractHotRanges(double Phi) const;
 
   /// Prints the whole tree, one node per line, indented by depth, with
@@ -323,11 +335,12 @@ private:
   uint64_t mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
                      uint64_t *FoldedWeight = nullptr);
   void unionWith(uint32_t Mine, const RapNode &Theirs);
-  uint64_t hotWalk(const RapNode &Node, double Threshold, unsigned Depth,
+  uint64_t hotWalk(uint32_t Node, unsigned Depth, double Threshold,
                    std::vector<HotRange> &Out) const;
-  void topKWalk(const RapNode &Node, unsigned Depth, uint64_t AncestorOwn,
-                bool PruneCold, std::vector<TopKRange> &Out) const;
-  uint64_t estimateWalk(const RapNode &Node, uint64_t Lo, uint64_t Hi) const;
+  void topKWalk(uint32_t Node, unsigned Depth, uint64_t AncestorOwn,
+                std::vector<TopKRange> &Out) const;
+  void straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
+                    uint64_t Lo, uint64_t Hi, RangeBounds &Bounds) const;
   void scheduleAfterMerge();
   void rebuildFence();
   uint64_t rebuildFenceWalk(uint32_t Node);

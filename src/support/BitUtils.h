@@ -15,6 +15,7 @@
 #ifndef RAP_SUPPORT_BITUTILS_H
 #define RAP_SUPPORT_BITUTILS_H
 
+#include <bit>
 #include <cassert>
 #include <cstdint>
 
@@ -26,10 +27,7 @@ constexpr bool isPowerOfTwo(uint64_t X) { return X != 0 && (X & (X - 1)) == 0; }
 /// Floor of log base 2 of \p X. \p X must be nonzero.
 constexpr unsigned log2Floor(uint64_t X) {
   assert(X != 0 && "log2Floor of zero");
-  unsigned Result = 0;
-  while (X >>= 1)
-    ++Result;
-  return Result;
+  return 63u - static_cast<unsigned>(std::countl_zero(X));
 }
 
 /// Ceiling of log base 2 of \p X. \p X must be nonzero.

@@ -68,6 +68,19 @@ void walk(const RapNode &Node, const RapConfig &Config, Report &R,
            "node lo %" PRIx64 " not aligned to its %u-bit width", Node.lo(),
            Node.widthBits());
 
+  // Subtree-sum column: the O(1) subtreeWeight() every range read
+  // trusts must equal the node's own counter plus its live children's
+  // subtree weights (saturating).
+  uint64_t ExpectedSum = Node.count();
+  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+    if (const RapNode *Child = Node.child(Slot))
+      ExpectedSum = saturatingAdd(ExpectedSum, Child->subtreeWeight());
+  if (Node.subtreeWeight() != ExpectedSum)
+    R.fail("subtree-sum",
+           "node [%" PRIx64 ", width %u] reports subtree weight %" PRIu64
+           ", but count + children = %" PRIu64,
+           Node.lo(), Node.widthBits(), Node.subtreeWeight(), ExpectedSum);
+
   if (!Node.hasChildren())
     return;
 
@@ -124,11 +137,16 @@ std::vector<InvariantViolation> TreeInvariants::audit(const RapTree &Tree) {
   walk(Tree.root(), Config, R, Stats);
 
   // Conservation: every unit of stream weight is on exactly one
-  // counter (weights saturate at 2^64-1, as does numEvents).
-  uint64_t SubtreeWeight = Tree.root().subtreeWeight();
-  if (SubtreeWeight != Tree.numEvents())
+  // counter (weights saturate at 2^64-1, as does numEvents), and the
+  // root's entry of the subtree-sum column says so too.
+  if (Stats.Weight != Tree.numEvents())
     R.fail("conservation",
            "tree holds %" PRIu64 " weight but %" PRIu64 " events were fed",
+           Stats.Weight, Tree.numEvents());
+  uint64_t SubtreeWeight = Tree.root().subtreeWeight();
+  if (SubtreeWeight != Tree.numEvents())
+    R.fail("subtree-sum",
+           "root subtree weight %" PRIu64 " != %" PRIu64 " events",
            SubtreeWeight, Tree.numEvents());
   uint64_t WholeUniverse =
       Tree.estimateRange(0, Config.RangeBits == 0

@@ -12,7 +12,8 @@
 ///
 ///  - TreeInvariants walks a tree (or a raw node set, e.g. the hardware
 ///    engine's TCAM snapshot) and checks the *structural* invariants:
-///    range geometry, conservation of stream weight, node accounting,
+///    range geometry, conservation of stream weight, the subtree-sum
+///    column behind every O(1) subtreeWeight(), node accounting,
 ///    and the worst-case node-count bound of Sec 3.1.
 ///
 ///  - OnlineAuditor wraps a live tree and checks the *transition*

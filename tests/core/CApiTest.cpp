@@ -298,9 +298,11 @@ TEST(CApi, AdmissionStateSurvivesSaveLoad) {
   // carry the admission RNG position and accounting, so the continued
   // run is bit-identical to an uninterrupted one.
   std::string Path = ::testing::TempDir() + "capi_admission.rap";
+  // Every value stays inside the 16-bit universe (addPoint's
+  // precondition).
   std::vector<uint64_t> Stream;
   for (int I = 0; I != 6000; ++I)
-    Stream.push_back(I % 3 == 0 ? 42u : uint64_t(I) * 257);
+    Stream.push_back(I % 3 == 0 ? 42u : (uint64_t(I) * 257) & 0xffff);
 
   rap_handle *Whole = rap_init_admission(16, 0.05, 0, 4.0, 0x5eed);
   ASSERT_NE(Whole, nullptr);

@@ -6,6 +6,9 @@
 #
 # One command, the whole gate:
 #   1. plain build (RAP_WERROR=ON) + full test suite
+#   1b. asserts-on build: RelWithDebInfo with "-O2 -g" instead of the
+#      default "-O2 -g -DNDEBUG", so every invariant assert is compiled
+#      in, + full test suite (the plain build runs with them all off)
 #   2. AddressSanitizer build + full test suite
 #   3. UndefinedBehaviorSanitizer build + full test suite
 #   4. 25-episode differential fuzz slices (ASan-instrumented): plain,
@@ -57,6 +60,10 @@ configure_and_test() {
 
 step "plain build + tests (warnings are errors)"
 configure_and_test build -DRAP_WERROR=ON
+
+step "asserts-on build (RelWithDebInfo without NDEBUG) + tests"
+configure_and_test build-asserts -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_CXX_FLAGS_RELWITHDEBINFO="-O2 -g"
 
 step "AddressSanitizer build + tests"
 configure_and_test build-asan -DRAP_SANITIZE=address
