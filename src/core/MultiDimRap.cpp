@@ -7,315 +7,98 @@
 
 #include "core/MultiDimRap.h"
 
-#include "support/FailPoint.h"
-
-#include <algorithm>
-#include <cmath>
+#include <cinttypes>
 #include <cstdio>
-#include <limits>
-#include <new>
 #include <ostream>
 #include <stdexcept>
 
 using namespace rap;
 
-bool MdRapConfig::validate(std::string *Error) const {
-  auto Fail = [Error](const char *Message) {
-    if (Error)
-      *Error = Message;
-    return false;
-  };
-  if (RangeBits == 0 || RangeBits > 32)
-    return Fail("RangeBits must be in [1, 32] per dimension");
-  if (!(Epsilon > 0.0) || Epsilon > 1.0)
-    return Fail("Epsilon must be in (0, 1]");
-  if (MergeRatio < 1.0)
-    return Fail("MergeRatio must be >= 1");
-  if (InitialMergeInterval == 0)
-    return Fail("InitialMergeInterval must be positive");
-  if (MaxMemoryBytes != 0 && MaxMemoryBytes < 24)
-    return Fail("MaxMemoryBytes smaller than one 24-byte node");
-  return true;
-}
-
-static_assert(MdRapTree::BytesPerNode == 24,
-              "MdRapConfig::effectiveNodeBudget assumes 24-byte nodes");
-
-MdRapTree::MdRapTree(const MdRapConfig &TreeConfig) : Config(TreeConfig) {
-  std::string Error;
-  if (!Config.validate(&Error))
+/// The quadtree as a RapTree config; box reads never use the fence.
+static RapConfig keyConfig(const MdRapConfig &C, bool Check) {
+  if (std::string Error; Check && !C.validate(&Error))
     throw std::invalid_argument("MdRapTree: invalid config: " + Error);
-  Root = std::make_unique<MdRapNode>(0, 0, Config.RangeBits);
-  NextMergeAt = Config.InitialMergeInterval;
-  Pressure.NodeBudget = Config.effectiveNodeBudget();
+  return {.RangeBits = 2 * C.RangeBits, .BranchFactor = 4,
+          .Epsilon = C.Epsilon, .MergeRatio = C.MergeRatio,
+          .InitialMergeInterval = C.InitialMergeInterval,
+          .EnableMerges = C.EnableMerges, .MaxNodes = C.effectiveNodeBudget(),
+          .EnableRangeFence = false};
 }
 
-/// Quadrant of (X, Y) within \p Node: bit 0 from X, bit 1 from Y. The
-/// node's corner is aligned to its width (squares only ever subdivide
-/// on power-of-two boundaries), so the subdividing bit can be read off
-/// the absolute coordinates directly — no corner subtraction, same
-/// branchless shift-and-mask select as the 1-D arena descend.
-static unsigned quadrantFor(const MdRapNode &Node, uint64_t X, uint64_t Y) {
-  unsigned ChildBits = Node.widthBits() - 1;
-  unsigned XBit = static_cast<unsigned>((X >> ChildBits) & 1);
-  unsigned YBit = static_cast<unsigned>((Y >> ChildBits) & 1);
-  return (YBit << 1) | XBit;
+bool MdRapConfig::validate(std::string *Error) const {
+  if (RangeBits >= 1 && RangeBits <= 32 &&
+      (MaxMemoryBytes == 0 || MaxMemoryBytes >= 24))
+    return keyConfig(*this, /*Check=*/false).validate(Error);
+  if (Error)
+    *Error = "RangeBits must be in [1, 32] and MaxMemoryBytes 0 or >= 24";
+  return false;
 }
 
-MdRapNode *MdRapTree::descend(uint64_t X, uint64_t Y) {
-  MdRapNode *Node = Root.get();
-  while (Node->hasChildren()) {
-    unsigned Quadrant = quadrantFor(*Node, X, Y);
-    MdRapNode *Child = Node->Children[Quadrant].get();
-    if (!Child)
-      break; // Quadrant was merged back into this square.
-    Node = Child;
-  }
-  return Node;
+MdRapTree::MdRapTree(const MdRapConfig &TreeConfig)
+    : Config(TreeConfig), Tree(keyConfig(TreeConfig, /*Check=*/true)) {}
+
+/// Perfect shuffle (Hacker's Delight 7-2): low word to even bits, high to odd.
+static constexpr uint64_t ShuffleMasks[] = {
+    0x00000000ffff0000ULL, 0x0000ff000000ff00ULL, 0x00f000f000f000f0ULL,
+    0x0c0c0c0c0c0c0c0cULL, 0x2222222222222222ULL};
+
+static uint64_t shuffleStage(uint64_t V, unsigned I) {
+  unsigned Shift = 16u >> I;
+  uint64_t T = (V ^ (V >> Shift)) & ShuffleMasks[I];
+  return V ^ T ^ (T << Shift);
 }
 
-const MdRapNode &MdRapTree::findSmallestCover(uint64_t X, uint64_t Y) const {
-  return *const_cast<MdRapTree *>(this)->descend(X, Y);
+uint64_t MdRapTree::key(uint64_t X, uint64_t Y) {
+  uint64_t V = (Y << 32) | (X & 0xffffffffULL);
+  for (unsigned I = 0; I != 5; ++I)
+    V = shuffleStage(V, I);
+  return V;
 }
 
-void MdRapTree::addPoint(uint64_t X, uint64_t Y, uint64_t Weight) {
-  assert(Weight != 0 && "zero-weight update");
-  assert((Config.RangeBits == 64 ||
-          (X < (uint64_t(1) << Config.RangeBits) &&
-           Y < (uint64_t(1) << Config.RangeBits))) &&
-         "tuple outside the configured domain");
-  NumEvents = saturatingAdd(NumEvents, Weight);
-
-  MdRapNode *Node = descend(X, Y);
-  Node->Count = saturatingAdd(Node->Count, Weight);
-  if (!Node->isUnitCell() &&
-      static_cast<double>(Node->Count) >
-          Config.splitThreshold(NumEvents))
-    trySplit(Node, X, Y, Weight);
-
-  if (Config.EnableMerges && NumEvents >= NextMergeAt) {
-    mergeNow();
-    scheduleAfterMerge();
-  }
+MdSquare MdRapTree::square(uint64_t KeyLo, unsigned KeyWidthBits) {
+  for (unsigned I = 5; I-- != 0;)
+    KeyLo = shuffleStage(KeyLo, I);
+  uint64_t X = KeyLo & 0xffffffffULL, Y = KeyLo >> 32;
+  uint64_t Side = lowBitMask(KeyWidthBits / 2);
+  return {X, X + Side, Y, Y + Side, KeyWidthBits / 2};
 }
 
-uint64_t MdRapTree::splitAllocCount(const MdRapNode &Node) const {
-  // Quadrants a split would create: all four, or just the slots merged
-  // back since the last split.
-  if (Node.Children.empty())
-    return 4;
-  uint64_t Missing = 0;
-  for (const auto &ChildSlot : Node.Children)
-    if (!ChildSlot)
-      ++Missing;
-  return Missing;
-}
-
-/// Same cap as the 1-D tree's coarsening escalation.
-static constexpr uint64_t MaxCoarsenLevel = 60;
-
-uint64_t MdRapTree::forcedMergePass() {
-  // Off-schedule reclamation pass; same accounting discipline as
-  // RapTree::forcedMergePass (NumMergePasses untouched, folded weight
-  // charged to DegradedWeight).
-  double Scale = std::ldexp(
-      1.0, static_cast<int>(std::min(Pressure.CoarsenLevel, MaxCoarsenLevel)));
-  double Threshold =
-      std::max(1.0, Config.splitThreshold(NumEvents) * Scale);
-  uint64_t Removed = 0;
-  uint64_t Folded = 0;
-  mergeWalk(*Root, Threshold, Removed, &Folded);
-  ++Pressure.ForcedMergePasses;
-  Pressure.ReclaimedNodes += Removed;
-  Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Folded);
-  return Removed;
-}
-
-void MdRapTree::trySplit(MdRapNode *Node, uint64_t X, uint64_t Y,
-                         uint64_t Weight) {
-  uint64_t Budget = Pressure.NodeBudget;
-  bool Charged = false;
-  if (Budget != 0) {
-    // Churn charge — see RapTree::trySplit: after a forced pass an
-    // event can re-land on a cell already past the split threshold,
-    // and its weight then stays at that coarse cell even when the
-    // re-split below succeeds.
-    if (Pressure.ForcedMergePasses != 0 && Node->Count > Weight &&
-        static_cast<double>(Node->Count - Weight) >
-            Config.splitThreshold(NumEvents)) {
-      Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
-      Charged = true;
-    }
-    uint64_t Need = splitAllocCount(*Node);
-    if (NumNodes + Need > Budget) {
-      ++Pressure.BudgetHits;
-      forcedMergePass();
-      Node = descend(X, Y);
-      Need = splitAllocCount(*Node);
-      bool StillWants = !Node->isUnitCell() &&
-                        static_cast<double>(Node->Count) >
-                            Config.splitThreshold(NumEvents);
-      if (!StillWants || NumNodes + Need > Budget) {
-        ++Pressure.RefusedSplits;
-        if (!Charged)
-          Pressure.DegradedWeight =
-              saturatingAdd(Pressure.DegradedWeight, Weight);
-        if (Pressure.CoarsenLevel < MaxCoarsenLevel)
-          ++Pressure.CoarsenLevel;
-        return;
-      }
-    }
-  }
-  try {
-    splitNode(*Node);
-  } catch (const std::bad_alloc &) {
-    // A partial split (some quadrants created before the failure) is a
-    // valid merged-back state; the next split attempt fills the rest.
-    ++Pressure.AllocFailures;
-    ++Pressure.RefusedSplits;
-    if (!Charged)
-      Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
-    MaxNumNodes = std::max(MaxNumNodes, NumNodes);
-  }
-}
-
-void MdRapTree::splitNode(MdRapNode &Node) {
-  assert(!Node.isUnitCell() && "cannot split a unit cell");
-  unsigned ChildBits = Node.widthBits() - 1;
-  uint64_t Side = uint64_t(1) << ChildBits;
-  if (Node.Children.empty())
-    Node.Children.resize(4);
-  for (unsigned Quadrant = 0; Quadrant != 4; ++Quadrant) {
-    if (Node.Children[Quadrant])
-      continue;
-    if (RAP_FAILPOINT_HIT(failpoints::Fp::MdSplitAlloc))
-      throw std::bad_alloc();
-    uint64_t ChildX = Node.xLo() + (Quadrant & 1 ? Side : 0);
-    uint64_t ChildY = Node.yLo() + (Quadrant & 2 ? Side : 0);
-    Node.Children[Quadrant] =
-        std::make_unique<MdRapNode>(ChildX, ChildY, ChildBits);
-    ++NumNodes;
-  }
-  ++NumSplits;
-  MaxNumNodes = std::max(MaxNumNodes, NumNodes);
-}
-
-uint64_t MdRapTree::mergeWalk(MdRapNode &Node, double Threshold,
-                              uint64_t &Removed, uint64_t *FoldedWeight) {
-  uint64_t Total = Node.Count;
-  if (!Node.hasChildren())
-    return Total;
-  bool AnyChildLeft = false;
-  for (auto &ChildSlot : Node.Children) {
-    if (!ChildSlot)
-      continue;
-    uint64_t ChildWeight =
-        mergeWalk(*ChildSlot, Threshold, Removed, FoldedWeight);
-    Total = saturatingAdd(Total, ChildWeight);
-    if (static_cast<double>(ChildWeight) < Threshold) {
-      Node.Count = saturatingAdd(Node.Count, ChildWeight);
-      if (FoldedWeight)
-        *FoldedWeight = saturatingAdd(*FoldedWeight, ChildWeight);
-      uint64_t Dropped = ChildSlot->subtreeNodeCount();
-      Removed += Dropped;
-      NumNodes -= Dropped;
-      ChildSlot.reset();
-    } else {
-      AnyChildLeft = true;
-    }
-  }
-  if (!AnyChildLeft)
-    Node.Children.clear();
-  return Total;
-}
-
-uint64_t MdRapTree::mergeNow() {
-  double Threshold = Config.splitThreshold(NumEvents);
-  uint64_t Removed = 0;
-  mergeWalk(*Root, Threshold, Removed);
-  ++NumMergePasses;
-  return Removed;
-}
-
-void MdRapTree::scheduleAfterMerge() {
-  double Next = static_cast<double>(NextMergeAt) * Config.MergeRatio;
-  // Same saturation discipline as RapTree::scheduleAfterMerge: avoid
-  // llround UB past int64 range and the NumEvents + 1 wrap at 2^64-1.
-  uint64_t NextInt =
-      Next >= static_cast<double>(std::numeric_limits<int64_t>::max())
-          ? ~uint64_t(0)
-          : static_cast<uint64_t>(std::llround(Next));
-  NextMergeAt = std::max<uint64_t>(saturatingAdd(NumEvents, 1), NextInt);
-}
-
-uint64_t MdRapTree::estimateWalk(const MdRapNode &Node, uint64_t XLo,
-                                 uint64_t XHi, uint64_t YLo,
-                                 uint64_t YHi) const {
-  if (Node.xLo() > XHi || Node.xHi() < XLo || Node.yLo() > YHi ||
-      Node.yHi() < YLo)
+/// Sums the O(1) subtree weights of the maximal nodes inside \p B.
+static uint64_t boxWalk(const RapNode &Node, const MdSquare &B) {
+  MdSquare S = MdRapTree::square(Node.lo(), Node.widthBits());
+  if (S.XLo > B.XHi || S.XHi < B.XLo || S.YLo > B.YHi || S.YHi < B.YLo)
     return 0;
-  if (XLo <= Node.xLo() && Node.xHi() <= XHi && YLo <= Node.yLo() &&
-      Node.yHi() <= YHi)
+  if (B.XLo <= S.XLo && S.XHi <= B.XHi && B.YLo <= S.YLo && S.YHi <= B.YHi)
     return Node.subtreeWeight();
   uint64_t Total = 0;
-  for (unsigned Quadrant = 0; Quadrant != Node.numChildSlots(); ++Quadrant)
-    if (const MdRapNode *Child = Node.child(Quadrant))
-      Total += estimateWalk(*Child, XLo, XHi, YLo, YHi);
+  for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+    if (const RapNode *Child = Node.child(Slot))
+      Total = saturatingAdd(Total, boxWalk(*Child, B));
   return Total;
 }
 
 uint64_t MdRapTree::estimateBox(uint64_t XLo, uint64_t XHi, uint64_t YLo,
                                 uint64_t YHi) const {
-  assert(XLo <= XHi && YLo <= YHi && "empty query box");
-  return estimateWalk(*Root, XLo, XHi, YLo, YHi);
-}
-
-uint64_t MdRapTree::hotWalk(const MdRapNode &Node, double Threshold,
-                            unsigned Depth, std::vector<HotBox> &Out) const {
-  size_t MyIndex = Out.size();
-  Out.emplace_back();
-  uint64_t Exclusive = Node.count();
-  for (unsigned Quadrant = 0; Quadrant != Node.numChildSlots(); ++Quadrant)
-    if (const MdRapNode *Child = Node.child(Quadrant))
-      Exclusive =
-          saturatingAdd(Exclusive, hotWalk(*Child, Threshold, Depth + 1, Out));
-
-  if (static_cast<double>(Exclusive) < Threshold) {
-    Out.erase(Out.begin() + MyIndex);
-    return Exclusive;
-  }
-  HotBox &H = Out[MyIndex];
-  H.XLo = Node.xLo();
-  H.XHi = Node.xHi();
-  H.YLo = Node.yLo();
-  H.YHi = Node.yHi();
-  H.WidthBits = Node.widthBits();
-  H.Depth = Depth;
-  H.ExclusiveWeight = Exclusive;
-  H.SubtreeWeight = Node.subtreeWeight();
-  return 0;
+  return boxWalk(Tree.root(), {XLo, XHi, YLo, YHi, 0});
 }
 
 std::vector<HotBox> MdRapTree::extractHotBoxes(double Phi) const {
-  assert(Phi > 0.0 && Phi <= 1.0 && "hotness fraction out of range");
   std::vector<HotBox> Out;
-  hotWalk(*Root, Phi * static_cast<double>(NumEvents), 0, Out);
+  for (const HotRange &H : Tree.extractHotRanges(Phi))
+    Out.push_back({square(H.Lo, H.WidthBits), H.Depth, H.ExclusiveWeight,
+                   H.SubtreeWeight});
   return Out;
 }
 
 void MdRapTree::dumpHot(std::ostream &OS, double Phi) const {
+  double N = static_cast<double>(numEvents() ? numEvents() : 1);
   for (const HotBox &H : extractHotBoxes(Phi)) {
-    char Buffer[160];
-    double Percent =
-        NumEvents == 0 ? 0.0
-                       : 100.0 * static_cast<double>(H.ExclusiveWeight) /
-                             static_cast<double>(NumEvents);
-    std::snprintf(Buffer, sizeof(Buffer),
-                  "x:[%llx, %llx] y:[%llx, %llx] %.1f%%\n",
-                  static_cast<unsigned long long>(H.XLo),
-                  static_cast<unsigned long long>(H.XHi),
-                  static_cast<unsigned long long>(H.YLo),
-                  static_cast<unsigned long long>(H.YHi), Percent);
-    OS << Buffer;
+    char Line[160];
+    std::snprintf(Line, sizeof(Line),
+                  "x:[%" PRIx64 ", %" PRIx64 "] y:[%" PRIx64 ", %" PRIx64
+                  "] %.1f%%\n",
+                  H.XLo, H.XHi, H.YLo, H.YHi,
+                  100.0 * static_cast<double>(H.ExclusiveWeight) / N);
+    OS << Line;
   }
 }

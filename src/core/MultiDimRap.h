@@ -6,258 +6,89 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-dimensional extension sketched in the paper's conclusion
-/// (Sec 6): "The applicability of RAP can be further extended with
-/// multi-dimensional profiling which allows adaptive ranges over two
-/// or more variables. With this extension it is possible to handle
-/// edge profiles, data-code correlation studies, and general tuple
-/// space profiles."
-///
-/// MdRapTree profiles pairs (X, Y) over [0, 2^RangeBits)^2 with an
-/// adaptive quadtree: the 2-D analog of the 1-D RAP tree, following
-/// the adaptive spatial partitioning of Hershberger et al. [19] that
-/// the 1-D bounds build on. Updates route to the smallest existing
-/// square covering the point; a square whose own counter exceeds
-///
-///   SplitThreshold = eps * n / RangeBits
-///
-/// (RangeBits = quadtree depth) splits into 4 quadrants; batched
-/// merges with exponentially growing intervals fold cold quadrants
-/// back. All 1-D guarantees carry over: estimates are lower bounds,
-/// the under-estimate of any node-aligned box is at most eps * n, and
-/// memory is bounded independent of the stream length.
-///
-/// Typical uses (see bench/ext_multidim_edge_profiles):
-///  - edge profiles: X = branch PC, Y = target PC;
-///  - data-code correlation: X = load PC, Y = referenced address.
+/// The paper's Sec 6 extension: adaptive ranges over pairs (X, Y). Its
+/// quadtree is a RapTree with BranchFactor 4 over the Morton key (X in
+/// the even bits, Y in the odd): child slot (ybit << 1) | xbit, and key
+/// width 2W is a square of side 2^W. MdRapTree only translates keys.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef RAP_CORE_MULTIDIMRAP_H
 #define RAP_CORE_MULTIDIMRAP_H
 
-#include "core/Pressure.h"
-#include "support/BitUtils.h"
-
-#include <cassert>
-#include <cstdint>
-#include <iosfwd>
-#include <memory>
-#include <string>
-#include <vector>
+#include "core/RapTree.h"
 
 namespace rap {
 
-/// Configuration of a 2-D RAP tree.
+/// Configuration of a 2-D RAP tree (RapConfig documents the knobs).
 struct MdRapConfig {
-  /// log2 of each dimension's universe; the domain is the square
-  /// [0, 2^RangeBits)^2. At most 32 so X and Y interleave into the
-  /// quadtree key space.
-  unsigned RangeBits = 32;
-
-  /// Error bound epsilon in (0, 1], relative to the stream length.
+  unsigned RangeBits = 32; ///< Bits per dimension, in [1, 32].
   double Epsilon = 0.01;
-
-  /// Merge-interval growth ratio q >= 1 (Sec 3.1 schedule).
   double MergeRatio = 2.0;
-
-  /// Events before the first batched merge.
   uint64_t InitialMergeInterval = 1024;
-
-  /// Disable batched merging (diagnostics only).
   bool EnableMerges = true;
+  uint64_t MaxNodes = 0;       ///< Hard node cap; 0 = unbounded.
+  uint64_t MaxMemoryBytes = 0; ///< At 24 B per node; 0 = unbounded.
 
-  /// Hard cap on live quadtree nodes (0 = unbounded). Same degraded
-  /// behavior as RapConfig::MaxNodes: refused splits plus forced
-  /// coarsening, observable through MdRapTree::pressure().
-  uint64_t MaxNodes = 0;
-
-  /// Memory budget in bytes at MdRapTree::BytesPerNode (24); 0 means
-  /// unbounded.
-  uint64_t MaxMemoryBytes = 0;
-
-  /// The node cap implied by MaxNodes and MaxMemoryBytes together.
   uint64_t effectiveNodeBudget() const {
-    uint64_t FromBytes = MaxMemoryBytes / 24;
-    if (MaxNodes == 0)
-      return FromBytes;
-    if (FromBytes == 0)
-      return MaxNodes;
-    return MaxNodes < FromBytes ? MaxNodes : FromBytes;
+    uint64_t Bytes = MaxMemoryBytes / 24;
+    return MaxNodes == 0 || (Bytes != 0 && Bytes < MaxNodes) ? Bytes : MaxNodes;
   }
-
-  /// Quadtree depth: one level per coordinate bit.
   unsigned maxDepth() const { return RangeBits; }
-
-  /// Split threshold after \p NumEvents events.
   double splitThreshold(uint64_t NumEvents) const {
     return Epsilon * static_cast<double>(NumEvents) / maxDepth();
   }
-
-  /// Validates the parameters.
   bool validate(std::string *Error = nullptr) const;
 };
 
-/// A node of the quadtree: a square [XLo, XLo+2^W) x [YLo, YLo+2^W).
-class MdRapNode {
-  friend class MdRapTree;
-
-public:
-  MdRapNode(uint64_t XLow, uint64_t YLow, unsigned Width)
-      : XLo(XLow), YLo(YLow), WidthBits(static_cast<uint8_t>(Width)) {}
-
-  uint64_t xLo() const { return XLo; }
-  uint64_t yLo() const { return YLo; }
-  uint64_t xHi() const { return XLo + sideMinusOne(); }
-  uint64_t yHi() const { return YLo + sideMinusOne(); }
-
-  /// log2 of the square's side length.
-  unsigned widthBits() const { return WidthBits; }
-
-  /// Events recorded on this node's own counter.
-  uint64_t count() const { return Count; }
-
-  /// True if the square is a single cell.
-  bool isUnitCell() const { return WidthBits == 0; }
-
-  /// True if (X, Y) lies within the square.
-  bool contains(uint64_t X, uint64_t Y) const {
-    return X >= XLo && X <= xHi() && Y >= YLo && Y <= yHi();
-  }
-
-  bool hasChildren() const { return !Children.empty(); }
-
-  /// Quadrant child (0..3: y-major, x-minor), or null.
-  const MdRapNode *child(unsigned Quadrant) const {
-    assert(Quadrant < Children.size() && "quadrant out of range");
-    return Children[Quadrant].get();
-  }
-
-  unsigned numChildSlots() const {
-    return static_cast<unsigned>(Children.size());
-  }
-
-  /// Weight of this node plus all descendants: the lower-bound count
-  /// estimate for the square.
-  uint64_t subtreeWeight() const {
-    uint64_t Total = Count;
-    for (const auto &Child : Children)
-      if (Child)
-        Total = saturatingAdd(Total, Child->subtreeWeight());
-    return Total;
-  }
-
-  /// Nodes in this subtree including this one.
-  uint64_t subtreeNodeCount() const {
-    uint64_t Total = 1;
-    for (const auto &Child : Children)
-      if (Child)
-        Total += Child->subtreeNodeCount();
-    return Total;
-  }
-
-private:
-  uint64_t sideMinusOne() const {
-    return WidthBits >= 64 ? ~uint64_t(0)
-                           : (uint64_t(1) << WidthBits) - 1;
-  }
-
-  uint64_t XLo;
-  uint64_t YLo;
-  uint64_t Count = 0;
-  uint8_t WidthBits;
-  std::vector<std::unique_ptr<MdRapNode>> Children;
+/// An aligned square [XLo, XHi] x [YLo, YHi] of side 2^WidthBits.
+struct MdSquare {
+  uint64_t XLo = 0, XHi = 0, YLo = 0, YHi = 0;
+  unsigned WidthBits = 0;
 };
 
 /// A hot box reported by MdRapTree::extractHotBoxes.
-struct HotBox {
-  uint64_t XLo = 0;
-  uint64_t XHi = 0;
-  uint64_t YLo = 0;
-  uint64_t YHi = 0;
-  unsigned WidthBits = 0;
+struct HotBox : MdSquare {
   unsigned Depth = 0;
   uint64_t ExclusiveWeight = 0; ///< count + non-hot descendant weight
   uint64_t SubtreeWeight = 0;   ///< count + all descendant weight
 };
 
-/// The 2-D range adaptive profile.
 class MdRapTree {
 public:
+  /// Throws std::invalid_argument when \p Config does not validate.
   explicit MdRapTree(const MdRapConfig &Config);
-
-  MdRapTree(const MdRapTree &) = delete;
-  MdRapTree &operator=(const MdRapTree &) = delete;
-
   /// Records \p Weight occurrences of the tuple (X, Y).
-  void addPoint(uint64_t X, uint64_t Y, uint64_t Weight = 1);
-
-  /// Runs one batched merge pass immediately; returns nodes removed.
-  uint64_t mergeNow();
-
+  void addPoint(uint64_t X, uint64_t Y, uint64_t Weight = 1) {
+    assert((X | Y) <= lowBitMask(Config.RangeBits) && "tuple off the domain");
+    Tree.addPoint(key(X, Y), Weight);
+  }
+  uint64_t mergeNow() { return Tree.mergeNow(); }
   const MdRapConfig &config() const { return Config; }
-  uint64_t numEvents() const { return NumEvents; }
-  uint64_t numNodes() const { return NumNodes; }
-  uint64_t maxNumNodes() const { return MaxNumNodes; }
-  uint64_t numSplits() const { return NumSplits; }
-  uint64_t numMergePasses() const { return NumMergePasses; }
-
-  /// Resource-pressure counters (see Pressure.h); all zero unless a
-  /// node budget was configured or an allocation failed.
-  const TreePressure &pressure() const { return Pressure; }
-
-  /// The effective node cap this tree enforces (0 = unbounded).
-  uint64_t nodeBudget() const { return Pressure.NodeBudget; }
-
-  /// Total event weight outside the eps*n guarantee (see Pressure.h).
-  uint64_t degradedWeight() const { return Pressure.DegradedWeight; }
-
-  /// Approximate footprint at 24 bytes per node (two coordinates plus
-  /// the counter).
-  uint64_t memoryBytes() const { return NumNodes * BytesPerNode; }
-
-  /// Root square (the whole domain).
-  const MdRapNode &root() const { return *Root; }
-
-  /// The smallest existing square covering (X, Y).
-  const MdRapNode &findSmallestCover(uint64_t X, uint64_t Y) const;
-
-  /// Lower-bound estimate of the events in the box
-  /// [XLo, XHi] x [YLo, YHi] (inclusive).
+  uint64_t numEvents() const { return Tree.numEvents(); }
+  uint64_t numNodes() const { return Tree.numNodes(); }
+  uint64_t maxNumNodes() const { return Tree.maxNumNodes(); }
+  uint64_t numSplits() const { return Tree.numSplits(); }
+  uint64_t numMergePasses() const { return Tree.numMergePasses(); }
+  const TreePressure &pressure() const { return Tree.pressure(); }
+  uint64_t degradedWeight() const { return Tree.degradedWeight(); }
+  uint64_t memoryBytes() const { return numNodes() * BytesPerNode; }
+  /// The Morton-key tree; square() decodes a key range (lo, widthBits).
+  const RapTree &tree() const { return Tree; }
+  static uint64_t key(uint64_t X, uint64_t Y);
+  static MdSquare square(uint64_t KeyLo, unsigned KeyWidthBits);
+  /// Lower-bound estimate of the events in [XLo, XHi] x [YLo, YHi].
   uint64_t estimateBox(uint64_t XLo, uint64_t XHi, uint64_t YLo,
                        uint64_t YHi) const;
-
-  /// Hot boxes at fraction \p Phi, preorder (Sec 4.1 semantics).
+  /// Hot boxes at fraction \p Phi, in quadtree preorder (Sec 4.1).
   std::vector<HotBox> extractHotBoxes(double Phi) const;
-
   /// One line per hot box, with coordinates and percentages.
   void dumpHot(std::ostream &OS, double Phi) const;
-
   static constexpr uint64_t BytesPerNode = 24;
 
 private:
-  MdRapNode *descend(uint64_t X, uint64_t Y);
-  void trySplit(MdRapNode *Node, uint64_t X, uint64_t Y, uint64_t Weight);
-  void splitNode(MdRapNode &Node);
-  uint64_t splitAllocCount(const MdRapNode &Node) const;
-  uint64_t forcedMergePass();
-  uint64_t mergeWalk(MdRapNode &Node, double Threshold, uint64_t &Removed,
-                     uint64_t *FoldedWeight = nullptr);
-  uint64_t hotWalk(const MdRapNode &Node, double Threshold, unsigned Depth,
-                   std::vector<HotBox> &Out) const;
-  uint64_t estimateWalk(const MdRapNode &Node, uint64_t XLo, uint64_t XHi,
-                        uint64_t YLo, uint64_t YHi) const;
-  void scheduleAfterMerge();
-
   MdRapConfig Config;
-  std::unique_ptr<MdRapNode> Root;
-  uint64_t NumEvents = 0;
-  uint64_t NumNodes = 1;
-  uint64_t MaxNumNodes = 1;
-  uint64_t NumSplits = 0;
-  uint64_t NumMergePasses = 0;
-  uint64_t NextMergeAt;
-  TreePressure Pressure;
+  RapTree Tree;
 };
 
 } // namespace rap

@@ -421,8 +421,8 @@ Interval convertValue(EvalCtx &C, const Value &V, const IntType &T,
 
 class ExprParser {
 public:
-  ExprParser(EvalCtx &C, size_t Begin, size_t End)
-      : C(C), Toks(C.Src->Tokens), P(Begin), E(End) {}
+  ExprParser(EvalCtx &Ctx, size_t Begin, size_t End)
+      : C(Ctx), Toks(Ctx.Src->Tokens), P(Begin), E(End) {}
 
   /// Entry point: full expression including top-level commas.
   Value parseComma() {

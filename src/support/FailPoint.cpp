@@ -39,7 +39,7 @@ Slot &slot(Fp Point) {
 }
 
 const char *const Names[NumSlots] = {
-    "arena.alloc", "mdrap.split", "stage0.drain",   "trace.write",
+    "arena.alloc",   "stage0.drain",  "trace.write",
     "snapshot.write", "snapshot.read", "capi.init",
 };
 

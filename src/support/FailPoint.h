@@ -37,7 +37,6 @@ namespace failpoints {
 /// stable spelling used by configure() specs and log output.
 enum class Fp : unsigned {
   ArenaAlloc,    ///< RapTree arena slab growth -> std::bad_alloc
-  MdSplitAlloc,  ///< MdRapTree quadrant allocation -> std::bad_alloc
   Stage0Drain,   ///< StageZeroBuffer::drain scratch -> std::bad_alloc
   TraceWrite,    ///< TraceWriter record write -> stream failure
   SnapshotWrite, ///< ProfileSnapshot::writeBinary -> torn short write

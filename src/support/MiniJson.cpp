@@ -86,8 +86,8 @@ namespace {
 /// hostile input degrades to a parse error, not a stack overflow.
 class Parser {
 public:
-  Parser(const std::string &Text, std::string *Error)
-      : Text(Text), Error(Error) {}
+  Parser(const std::string &Input, std::string *ErrorOut)
+      : Text(Input), Error(ErrorOut) {}
 
   Value run() {
     Value V = parseValue(0);

@@ -7,7 +7,9 @@
 
 #include "core/MultiDimRap.h"
 
+#include "support/FailPoint.h"
 #include "support/Rng.h"
+#include "verify/TreeInvariants.h"
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,11 @@ MdRapConfig smallConfig(double Epsilon = 0.5, bool Merges = false) {
   Config.EnableMerges = Merges;
   Config.InitialMergeInterval = 128;
   return Config;
+}
+
+/// The square a node of MdRapTree::tree() covers.
+MdSquare squareOf(const RapNode &Node) {
+  return MdRapTree::square(Node.lo(), Node.widthBits());
 }
 } // namespace
 
@@ -46,41 +53,68 @@ TEST(MdRapConfig, Validation) {
 TEST(MdRapTree, FreshTreeCoversDomain) {
   MdRapTree Tree(smallConfig());
   EXPECT_EQ(Tree.numNodes(), 1u);
-  EXPECT_EQ(Tree.root().xLo(), 0u);
-  EXPECT_EQ(Tree.root().xHi(), 255u);
-  EXPECT_EQ(Tree.root().yHi(), 255u);
-  EXPECT_TRUE(Tree.root().contains(0, 0));
-  EXPECT_TRUE(Tree.root().contains(255, 255));
+  MdSquare Root = squareOf(Tree.tree().root());
+  EXPECT_EQ(Root.XLo, 0u);
+  EXPECT_EQ(Root.YLo, 0u);
+  EXPECT_EQ(Root.XHi, 255u);
+  EXPECT_EQ(Root.YHi, 255u);
+  EXPECT_EQ(Root.WidthBits, 8u);
 }
 
 TEST(MdRapTree, HotTupleDrillsToUnitCell) {
   MdRapTree Tree(smallConfig());
   for (int I = 0; I != 64; ++I)
     Tree.addPoint(12, 200);
-  const MdRapNode &Cell = Tree.findSmallestCover(12, 200);
-  EXPECT_EQ(Cell.xLo(), 12u);
-  EXPECT_EQ(Cell.yLo(), 200u);
-  EXPECT_TRUE(Cell.isUnitCell());
+  const RapNode &Cell =
+      Tree.tree().findSmallestCover(MdRapTree::key(12, 200));
+  MdSquare S = squareOf(Cell);
+  EXPECT_EQ(S.XLo, 12u);
+  EXPECT_EQ(S.YLo, 200u);
+  EXPECT_EQ(S.WidthBits, 0u);
+  EXPECT_TRUE(Cell.isUnitRange());
 }
 
 TEST(MdRapTree, QuadrantGeometry) {
   MdRapTree Tree(smallConfig(1.0));
   Tree.addPoint(0, 0); // root splits immediately
-  ASSERT_TRUE(Tree.root().hasChildren());
-  ASSERT_EQ(Tree.root().numChildSlots(), 4u);
-  const MdRapNode *Q0 = Tree.root().child(0);
-  const MdRapNode *Q1 = Tree.root().child(1);
-  const MdRapNode *Q2 = Tree.root().child(2);
-  const MdRapNode *Q3 = Tree.root().child(3);
-  ASSERT_TRUE(Q0 && Q1 && Q2 && Q3);
-  EXPECT_EQ(Q0->xLo(), 0u);   // low-x, low-y
-  EXPECT_EQ(Q0->yLo(), 0u);
-  EXPECT_EQ(Q1->xLo(), 128u); // high-x, low-y
-  EXPECT_EQ(Q1->yLo(), 0u);
-  EXPECT_EQ(Q2->xLo(), 0u);   // low-x, high-y
-  EXPECT_EQ(Q2->yLo(), 128u);
-  EXPECT_EQ(Q3->xLo(), 128u);
-  EXPECT_EQ(Q3->yLo(), 128u);
+  const RapNode &Root = Tree.tree().root();
+  ASSERT_TRUE(Root.hasChildren());
+  ASSERT_EQ(Root.numChildSlots(), 4u);
+  const RapNode *Q[4] = {Root.child(0), Root.child(1), Root.child(2),
+                         Root.child(3)};
+  ASSERT_TRUE(Q[0] && Q[1] && Q[2] && Q[3]);
+  // Slot (ybit << 1) | xbit: low-x low-y, high-x low-y, low-x high-y,
+  // high-x high-y.
+  const uint64_t Corners[4][2] = {{0, 0}, {128, 0}, {0, 128}, {128, 128}};
+  for (unsigned Slot = 0; Slot != 4; ++Slot) {
+    MdSquare S = squareOf(*Q[Slot]);
+    EXPECT_EQ(S.XLo, Corners[Slot][0]) << "slot " << Slot;
+    EXPECT_EQ(S.YLo, Corners[Slot][1]) << "slot " << Slot;
+    EXPECT_EQ(S.XHi, Corners[Slot][0] + 127) << "slot " << Slot;
+    EXPECT_EQ(S.WidthBits, 7u);
+  }
+}
+
+TEST(MdRapTree, MortonKeyRoundTrips) {
+  // X lands in the even key bits and Y in the odd ones, across the
+  // full 32-bit coordinate range.
+  EXPECT_EQ(MdRapTree::key(1, 0), 1u);
+  EXPECT_EQ(MdRapTree::key(0, 1), 2u);
+  EXPECT_EQ(MdRapTree::key(0xffffffffu, 0), 0x5555555555555555ULL);
+  EXPECT_EQ(MdRapTree::key(0, 0xffffffffu), 0xaaaaaaaaaaaaaaaaULL);
+  Rng R(23);
+  for (int I = 0; I != 10000; ++I) {
+    uint64_t X = R.next() >> 32, Y = R.next() >> 32;
+    MdSquare S = MdRapTree::square(MdRapTree::key(X, Y), 0);
+    ASSERT_EQ(S.XLo, X);
+    ASSERT_EQ(S.YLo, Y);
+    ASSERT_EQ(S.XHi, X);
+  }
+  // An aligned square of side 2^4 is a key range of width 2^8.
+  MdSquare S = MdRapTree::square(MdRapTree::key(0x30, 0x50), 8);
+  EXPECT_EQ(S.XHi, 0x3fu);
+  EXPECT_EQ(S.YHi, 0x5fu);
+  EXPECT_EQ(S.WidthBits, 4u);
 }
 
 TEST(MdRapTree, Conservation) {
@@ -88,9 +122,10 @@ TEST(MdRapTree, Conservation) {
   Rng R(3);
   for (int I = 0; I != 20000; ++I)
     Tree.addPoint(R.nextBelow(256), R.nextBelow(256));
-  EXPECT_EQ(Tree.root().subtreeWeight(), Tree.numEvents());
+  EXPECT_EQ(Tree.tree().root().subtreeWeight(), Tree.numEvents());
   Tree.mergeNow();
-  EXPECT_EQ(Tree.root().subtreeWeight(), Tree.numEvents());
+  EXPECT_EQ(Tree.tree().root().subtreeWeight(), Tree.numEvents());
+  EXPECT_EQ(TreeInvariants::render(TreeInvariants::audit(Tree.tree())), "");
 }
 
 TEST(MdRapTree, EstimateWholeDomainExact) {
@@ -180,7 +215,7 @@ TEST(MdRapTree, WeightedUpdates) {
   Tree.addPoint(1, 2, 100);
   Tree.addPoint(3, 4, 23);
   EXPECT_EQ(Tree.numEvents(), 123u);
-  EXPECT_EQ(Tree.root().subtreeWeight(), 123u);
+  EXPECT_EQ(Tree.tree().root().subtreeWeight(), 123u);
 }
 
 TEST(MdRapTree, EdgeProfileUseCase) {
@@ -247,7 +282,7 @@ TEST(MdRapTree, WeightOverflowSaturates) {
   Tree.addPoint(1, 1, 1);
   Tree.addPoint(200, 17, 12345);
   EXPECT_EQ(Tree.numEvents(), ~uint64_t(0));
-  EXPECT_EQ(Tree.root().subtreeWeight(), ~uint64_t(0));
+  EXPECT_EQ(Tree.tree().root().subtreeWeight(), ~uint64_t(0));
   EXPECT_GE(Tree.estimateBox(0, 255, 0, 255),
             Tree.estimateBox(0, 127, 0, 127));
 }
@@ -287,4 +322,49 @@ TEST(MdRapTree, HotBoxesSurviveCounterSaturation) {
   ASSERT_FALSE(Hot.empty());
   EXPECT_EQ(Hot.front().WidthBits, 8u);
   EXPECT_EQ(Hot.front().ExclusiveWeight, ~uint64_t(0));
+}
+
+TEST(MdRapTree, ZeroWeightTupleNeverSplits) {
+  // Regression: a zero-weight tuple landing on a leaf whose counter
+  // merges had left above the split threshold used to split it (the
+  // check read the current counter, not the new weight). It must be a
+  // no-op, as RapTree::addPoint makes it for 1-D events.
+  MdRapConfig Config;
+  Config.RangeBits = 8;
+  Config.Epsilon = 0.1;
+  MdRapTree Tree(Config);
+  Rng R(21);
+  for (int I = 0; I != 5000; ++I)
+    Tree.addPoint(R.nextBelow(256), R.nextBelow(256));
+  Tree.mergeNow();
+  uint64_t Splits = Tree.numSplits();
+  uint64_t Nodes = Tree.numNodes();
+  for (uint64_t X = 0; X != 256; ++X)
+    for (uint64_t Y = 0; Y != 256; ++Y)
+      Tree.addPoint(X, Y, 0);
+  EXPECT_EQ(Tree.numSplits(), Splits);
+  EXPECT_EQ(Tree.numNodes(), Nodes);
+  EXPECT_EQ(Tree.numEvents(), 5000u);
+}
+
+TEST(MdRapTree, ArenaAllocFailureRefusesTheWholeSplit) {
+  // A failed quadrant allocation rolls the arena back: the split is
+  // refused whole, its event is charged as degraded, and the tree
+  // stays structurally sound.
+  failpoints::ScopedDisarm Guard;
+  MdRapTree Tree(smallConfig());
+  failpoints::arm(failpoints::Fp::ArenaAlloc);
+  for (int I = 0; I != 200 && Tree.pressure().AllocFailures == 0; ++I)
+    Tree.addPoint(12, 200);
+  const TreePressure &P = Tree.pressure();
+  ASSERT_EQ(P.AllocFailures, 1u);
+  EXPECT_EQ(P.RefusedSplits, 1u);
+  EXPECT_GT(P.DegradedWeight, 0u);
+  EXPECT_EQ(Tree.numNodes(), 1u);
+  EXPECT_EQ(TreeInvariants::render(TreeInvariants::audit(Tree.tree())), "");
+  failpoints::disarmAll();
+  for (int I = 0; I != 64; ++I)
+    Tree.addPoint(12, 200);
+  EXPECT_GT(Tree.numNodes(), 1u);
+  EXPECT_EQ(TreeInvariants::render(TreeInvariants::audit(Tree.tree())), "");
 }

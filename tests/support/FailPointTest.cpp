@@ -78,7 +78,7 @@ TEST(FailPoint, IndependentSites) {
   disarmAll();
   arm(Fp::ArenaAlloc);
   // Arming one site must not affect another.
-  EXPECT_FALSE(RAP_FAILPOINT_HIT(Fp::MdSplitAlloc));
+  EXPECT_FALSE(RAP_FAILPOINT_HIT(Fp::Stage0Drain));
   EXPECT_TRUE(RAP_FAILPOINT_HIT(Fp::ArenaAlloc));
 }
 

@@ -32,7 +32,12 @@
 #   7. when clang++ is installed: a clang build of rap_core with
 #      -Wthread-safety, the independent check of the same lock
 #      annotations rap_lint verifies
-#   8. non-gating perf leg: bench_run, bench_parallel, bench_admission
+#   8. perfbench: the end-to-end benchmark (perfbench/CMakeLists.txt,
+#      which compiles the profiler straight from src/) configured into
+#      its own build-perfbench/ tree, built, and its helper self-tests
+#      run — proves the unmodified benchmark still compiles against the
+#      current library API
+#   9. non-gating perf leg: bench_run, bench_parallel, bench_admission
 #      and bench_query --smoke through the bench_diff schema check,
 #      schema checks of the pinned BENCH_parallel.json,
 #      BENCH_admission.json and BENCH_query.json, plus a
@@ -113,6 +118,11 @@ if command -v clang++ >/dev/null 2>&1; then
 else
   step "clang -Wthread-safety leg skipped (no clang++ on PATH)"
 fi
+
+step "perfbench build + helper self-tests"
+cmake -S perfbench -B build-perfbench >/dev/null
+cmake --build build-perfbench -j "$JOBS"
+ctest --test-dir build-perfbench --output-on-failure -j "$JOBS"
 
 step "bench smoke + schema check (perf numbers non-gating)"
 ./build/bench/bench_run --smoke --out=build/BENCH_smoke.json
