@@ -140,6 +140,23 @@ extern "C" rap_handle *rap_init_admission(unsigned range_bits, double epsilon,
 extern "C" void rap_add_points(rap_handle *handle, const uint64_t *points,
                                uint64_t num_points) noexcept {
   try {
+    // RapTree only asserts the universe bound, so in a release build an
+    // out-of-universe point would be misfiled onto its low bits. Check
+    // the whole batch first: a rejected call records nothing.
+    const unsigned RangeBits = handle->Tree->config().RangeBits;
+    if (RangeBits < 64)
+      for (uint64_t I = 0; I != num_points; ++I)
+        if (points[I] >> RangeBits != 0) {
+          char Message[160];
+          std::snprintf(Message, sizeof(Message),
+                        "rap_add_points: points[%llu] = 0x%llx is outside "
+                        "the %u-bit universe; batch rejected",
+                        static_cast<unsigned long long>(I),
+                        static_cast<unsigned long long>(points[I]),
+                        RangeBits);
+          setLastError(RAP_ERR_INVALID_ARGUMENT, Message);
+          return;
+        }
     const uint64_t RefusedBefore = handle->Tree->numRefusedSplits();
     for (uint64_t I = 0; I != num_points; ++I)
       handle->Tree->addPoint(points[I]);
@@ -167,6 +184,11 @@ extern "C" uint64_t rap_num_nodes(const rap_handle *handle) noexcept {
 
 extern "C" uint64_t rap_estimate_range(const rap_handle *handle, uint64_t lo,
                                        uint64_t hi) noexcept {
+  if (lo > hi) {
+    setLastError(RAP_ERR_INVALID_ARGUMENT,
+                 "rap_estimate_range: empty range (lo > hi)");
+    return 0;
+  }
   return handle->Tree->estimateRange(lo, hi);
 }
 

@@ -85,7 +85,10 @@ rap_handle *rap_init_admission(unsigned range_bits, double epsilon,
 
 /// Feeds \p num_points events into the profile. Looks up the
 /// appropriate counter, updates it, and internally performs the split
-/// and batched-merge operations when needed. On an internal failure
+/// and batched-merge operations when needed. The batch is validated
+/// first: if any point lies outside [0, 2^range_bits), none of the
+/// batch is recorded and rap_errno() = RAP_ERR_INVALID_ARGUMENT, with
+/// rap_last_error() naming the first bad index. On an internal failure
 /// (e.g. allocation during a split) the already-consumed prefix stays
 /// recorded, the rest is dropped, and rap_last_error() is set.
 void rap_add_points(rap_handle *handle, const uint64_t *points,
@@ -97,7 +100,9 @@ uint64_t rap_num_events(const rap_handle *handle) RAP_NOEXCEPT;
 /// Current number of range counters (nodes) in the tree.
 uint64_t rap_num_nodes(const rap_handle *handle) RAP_NOEXCEPT;
 
-/// Lower-bound estimate of the number of events in [lo, hi].
+/// Lower-bound estimate of the number of events in [lo, hi]. An empty
+/// range (lo > hi) returns 0 with rap_errno() =
+/// RAP_ERR_INVALID_ARGUMENT.
 uint64_t rap_estimate_range(const rap_handle *handle, uint64_t lo,
                             uint64_t hi) RAP_NOEXCEPT;
 

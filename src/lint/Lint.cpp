@@ -12,7 +12,6 @@
 #include "lint/FlowRules.h"
 #include "lint/Lexer.h"
 #include "lint/Parser.h"
-#include "lint/ValueRange.h"
 
 #include <algorithm>
 #include <cctype>
@@ -469,14 +468,13 @@ const std::vector<RuleInfo> &tokenRuleInfos() {
 
 const std::vector<RuleInfo> &rap::lint::allRules() {
   // Composed from the per-module registries (FlowRules.cpp,
-  // ApiAudit.cpp, Concurrency.cpp, ValueRange.cpp) so a module cannot
-  // emit a rule id that --list-rules, --explain and the allow()-marker
-  // validation do not know about.
+  // ApiAudit.cpp, Concurrency.cpp) so a module cannot emit a rule id
+  // that --list-rules, --explain and the allow()-marker validation do
+  // not know about.
   static const std::vector<RuleInfo> Rules = [] {
     std::vector<RuleInfo> R = tokenRuleInfos();
     for (const std::vector<RuleInfo> *Part :
-         {&flowRuleInfos(), &apiAuditRuleInfos(), &concurrencyRuleInfos(),
-          &valueRangeRuleInfos()})
+         {&flowRuleInfos(), &apiAuditRuleInfos(), &concurrencyRuleInfos()})
       R.insert(R.end(), Part->begin(), Part->end());
     return R;
   }();
@@ -508,7 +506,6 @@ std::vector<Finding> rap::lint::lintSource(const std::string &Path,
   // Flow-aware rules share one parse of the file.
   ParsedFile Parsed = parseFile(Src);
   runFlowRules(Path, Src, Parsed, Ctx, FC.InCore, Raw);
-  runValueRangeRules(Path, Src, Parsed, Ctx, Raw);
 
   std::vector<Finding> Out;
   for (Finding &F : Raw) {

@@ -31,7 +31,6 @@
 #ifndef RAP_LINT_LINT_H
 #define RAP_LINT_LINT_H
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -63,29 +62,12 @@ struct RuleInfo {
 /// listed; it cannot be suppressed).
 const std::vector<RuleInfo> &allRules();
 
-/// An inclusive integer range proven for one function parameter by
-/// the interprocedural value-range prescan (ValueRange.h). Plain data
-/// here so LintContext does not depend on the interval lattice type.
-struct ParamInterval {
-  long long Lo = 0;
-  long long Hi = 0;
-};
-
 /// Cross-file facts the driver gathers before linting individual
 /// files, so flow rules see more than one translation unit.
 struct LintContext {
   /// Names of functions declared in src/ headers whose return value
   /// is a status the caller must check (see isStatusReturn).
   std::set<std::string> StatusFunctions;
-
-  /// Proven ranges for literal-fed parameters, keyed by unqualified
-  /// function name then zero-based parameter index. Filled by
-  /// collectParamIntervals (ValueRange.h); a missing entry means the
-  /// parameter is unconstrained. The v4 rules seed each function's
-  /// abstract environment from this map, so e.g. a serialization
-  /// read length that every observed caller passes as a literal is
-  /// provably bounded inside the callee.
-  std::map<std::string, std::map<unsigned, ParamInterval>> ParamIntervals;
 };
 
 /// Lints one in-memory source file. \p Path must be repo-relative

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -54,6 +55,64 @@ TEST(CApi, EstimateRange) {
   EXPECT_EQ(rap_estimate_range(Handle, 0, 0xffff), 1000u);
   EXPECT_LE(rap_estimate_range(Handle, 42, 42), 1000u);
   EXPECT_GT(rap_estimate_range(Handle, 0, 255), 900u);
+  rap_finalize(Handle, nullptr, 0);
+}
+
+TEST(CApi, AddPointsRejectsOutOfUniverseBatchWhole) {
+  // A point above the 8-bit universe must not be misfiled onto its low
+  // bits (0x1003 -> 3), which would inflate the estimate of [3, 3].
+  rap_handle *Handle = rap_init(8, 0.01, 4);
+  ASSERT_NE(Handle, nullptr);
+  std::vector<uint64_t> Good(1000, 3);
+  std::vector<uint64_t> Bad(1000, 0x1003);
+  rap_clear_error();
+  rap_add_points(Handle, Good.data(), Good.size());
+  EXPECT_EQ(rap_errno(), RAP_OK);
+  rap_add_points(Handle, Bad.data(), Bad.size());
+  EXPECT_EQ(rap_errno(), RAP_ERR_INVALID_ARGUMENT);
+  EXPECT_NE(std::string(rap_last_error()).find("points[0]"),
+            std::string::npos)
+      << rap_last_error();
+  EXPECT_EQ(rap_num_events(Handle), 1000u);
+  EXPECT_LE(rap_estimate_range(Handle, 3, 3), 1000u);
+
+  // One bad point anywhere rejects the whole batch; the message names
+  // the first bad index.
+  rap_clear_error();
+  std::vector<uint64_t> Mixed = {5, 7, 0x100, 9, 0x200};
+  rap_add_points(Handle, Mixed.data(), Mixed.size());
+  EXPECT_EQ(rap_errno(), RAP_ERR_INVALID_ARGUMENT);
+  EXPECT_NE(std::string(rap_last_error()).find("points[2]"),
+            std::string::npos)
+      << rap_last_error();
+  EXPECT_EQ(rap_num_events(Handle), 1000u);
+  EXPECT_EQ(rap_estimate_range(Handle, 0, 0xff), 1000u);
+  rap_finalize(Handle, nullptr, 0);
+}
+
+TEST(CApi, FullWidthUniverseAcceptsEveryPoint) {
+  rap_handle *Handle = rap_init(64, 0.05, 0);
+  ASSERT_NE(Handle, nullptr);
+  std::vector<uint64_t> Points = {0, 1, UINT64_MAX, uint64_t(1) << 63};
+  rap_clear_error();
+  rap_add_points(Handle, Points.data(), Points.size());
+  EXPECT_EQ(rap_errno(), RAP_OK);
+  EXPECT_EQ(rap_num_events(Handle), 4u);
+  EXPECT_EQ(rap_estimate_range(Handle, 0, UINT64_MAX), 4u);
+  rap_finalize(Handle, nullptr, 0);
+}
+
+TEST(CApi, EstimateRangeRejectsEmptyRange) {
+  rap_handle *Handle = rap_init(16, 0.05, 0);
+  ASSERT_NE(Handle, nullptr);
+  std::vector<uint64_t> Points(100, 42);
+  rap_add_points(Handle, Points.data(), Points.size());
+  rap_clear_error();
+  EXPECT_EQ(rap_estimate_range(Handle, 43, 42), 0u);
+  EXPECT_EQ(rap_errno(), RAP_ERR_INVALID_ARGUMENT);
+  rap_clear_error();
+  EXPECT_EQ(rap_estimate_range(Handle, 0, 0xffff), 100u);
+  EXPECT_EQ(rap_errno(), RAP_OK);
   rap_finalize(Handle, nullptr, 0);
 }
 

@@ -8,16 +8,21 @@
 // files (fixtures/<name>.expected, renderText format), the clean ones
 // must produce nothing. Fixtures are linted under a *virtual* repo
 // path because rule applicability keys off the path (src/core/,
-// hot-path stems, headers).
+// hot-path stems, headers). The registry gate at the end keeps the
+// rule catalog (--list-rules, --explain, allow() validation) in step
+// with the ids the modules actually emit.
 //
 //===----------------------------------------------------------------------===//
 
+#include "lint/ApiAudit.h"
+#include "lint/Concurrency.h"
 #include "lint/Lexer.h"
 #include "lint/Lint.h"
 
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -337,4 +342,67 @@ TEST(LintBaseline, CommentsAreNeverStale) {
       applyBaseline({}, "# header comment\n\n# another\n");
   EXPECT_TRUE(Split.Stale.empty());
   EXPECT_TRUE(Split.Fresh.empty());
+}
+
+//===----------------------------------------------------------------------===//
+// Registry coverage: every emitted rule id must be explainable
+//===----------------------------------------------------------------------===//
+
+TEST(LintRegistry, RuleIdsAreUniqueAndExplainable) {
+  std::set<std::string> Seen;
+  for (const RuleInfo &R : allRules()) {
+    EXPECT_TRUE(Seen.insert(R.Id).second) << "duplicate rule id " << R.Id;
+    EXPECT_NE(std::string(R.Summary), "") << R.Id;
+    EXPECT_NE(std::string(R.Explanation), "") << R.Id;
+  }
+  // The v1 token rules, the v2 flow rules, the API audit and the v3
+  // concurrency pass, and nothing else (docs/STATIC_ANALYSIS.md).
+  const std::set<std::string> Catalog = {
+      "counter-arithmetic", "capi-exception-tight", "nondeterminism",
+      "hot-path-io",        "include-guard",        "unchecked-status",
+      "use-after-move",     "counter-escape",       "lock-discipline",
+      "api-odr",            "api-capi-coverage",    "api-include-drift",
+      "lock-order",         "guarded-by",           "atomic-misuse"};
+  EXPECT_EQ(Seen, Catalog);
+}
+
+TEST(LintRegistry, EveryEmittedRuleIdHasARegistryEntry) {
+  // Drive each module's reporting path on its violating fixtures and
+  // check the produced ids against the registry: a rule that can emit
+  // but is not listed would reject its own allow() marker as
+  // unknown-rule and be invisible to --explain.
+  std::set<std::string> Known;
+  for (const RuleInfo &R : allRules())
+    Known.insert(R.Id);
+
+  std::vector<Finding> All;
+  auto Add = [&All](const std::vector<Finding> &F) {
+    All.insert(All.end(), F.begin(), F.end());
+  };
+  for (const GoldenCase &C : GoldenCases)
+    Add(lintFixture(C.Fixture, C.VirtualPath));
+  for (const char *Flow : {"src/trace/f1_unchecked_violate.cpp",
+                           "src/support/f2_move_violate.cpp",
+                           "src/core/f3_escape_violate.cpp",
+                           "src/support/f4_lock_violate.cpp"}) {
+    std::string Path = Flow;
+    Add(lintFixture(Path.substr(Path.rfind('/') + 1), Path));
+  }
+  for (const char *Ip : {"ip1_lockorder_violate.cpp",
+                         "ip2_guardedby_violate.cpp",
+                         "ip3_atomic_violate.cpp"})
+    Add(runConcurrencyAudit(
+        {{std::string("src/core/") + Ip, readFixture(Ip)}}));
+  Add(runApiAudit({{"src/core/Odr.h", "int f() { return 1; }\n"}}));
+
+  ASSERT_FALSE(All.empty());
+  std::set<std::string> Emitted;
+  for (const Finding &F : All) {
+    Emitted.insert(F.RuleId);
+    EXPECT_TRUE(Known.count(F.RuleId))
+        << F.RuleId << " emitted but absent from allRules()";
+  }
+  // Every fixture family reached its rule (all but the two api-audit
+  // rules no fixture here drives).
+  EXPECT_EQ(Emitted.size(), 13u);
 }

@@ -10,7 +10,11 @@
 #      default "-O2 -g -DNDEBUG", so every invariant assert is compiled
 #      in, + full test suite (the plain build runs with them all off)
 #   2. AddressSanitizer build + full test suite
-#   3. UndefinedBehaviorSanitizer build + full test suite
+#   3. UndefinedBehaviorSanitizer build + full test suite + a
+#      25-episode fuzz slice; UBSan reports are fatal
+#      (-fno-sanitize-recover=undefined), so an out-of-width shift or a
+#      division by zero fails the step, and the WILL_FAIL
+#      ubsan_shift_probe test fails if the build ever recovers instead
 #   4. 25-episode differential fuzz slices (ASan-instrumented): plain,
 #      arena/stage-0 combined delivery (every checkpoint also
 #      cross-checks the slab tree against the legacy ReferenceRapTree),
@@ -73,8 +77,9 @@ configure_and_test build-asserts -DCMAKE_BUILD_TYPE=RelWithDebInfo \
 step "AddressSanitizer build + tests"
 configure_and_test build-asan -DRAP_SANITIZE=address
 
-step "UndefinedBehaviorSanitizer build + tests"
+step "UndefinedBehaviorSanitizer build + tests + fuzz slice (fatal reports)"
 configure_and_test build-ubsan -DRAP_SANITIZE=undefined
+./build-ubsan/tools/rap_fuzz --episodes=25 --seed=1 --events=8000
 
 step "differential fuzz slice (25 episodes, ASan)"
 ./build-asan/tools/rap_fuzz --episodes=25 --seed=1 --events=8000

@@ -32,7 +32,6 @@
 #include "lint/Lexer.h"
 #include "lint/Lint.h"
 #include "lint/Parser.h"
-#include "lint/ValueRange.h"
 #include "support/ArgParse.h"
 
 #include <algorithm>
@@ -106,13 +105,11 @@ int main(int Argc, char **Argv) {
   ArgParse Args("rap_lint",
                 "Project-specific static analysis for the RAP tree: "
                 "saturating-counter discipline, exception-tight C API, "
-                "determinism, hot-path IO, include-guard hygiene, and "
-                "the v2 flow rules (unchecked-status, use-after-move, "
-                "counter-escape, lock-discipline), the v3 "
+                "determinism, hot-path IO, include-guard hygiene, the "
+                "v2 flow rules (unchecked-status, use-after-move, "
+                "counter-escape, lock-discipline), and the v3 "
                 "interprocedural concurrency pass (lock-order, guarded-by, "
-                "atomic-misuse), and the v4 value-range rules "
-                "(shift-width, narrowing-truncation, unbounded-read, "
-                "div-by-zero) with interprocedural parameter ranges.");
+                "atomic-misuse).");
   Args.addString("root", ".",
                  "repository root; paths are reported relative to it");
   Args.addString("format", "text", "report format: text, json or sarif");
@@ -219,12 +216,6 @@ int main(int Argc, char **Argv) {
   AuditInputs.reserve(Inputs.size());
   for (const Input &In : Inputs)
     AuditInputs.push_back({In.Rel, In.Content});
-
-  // Interprocedural value-range prescan: prove ranges for parameters
-  // every observed call site feeds with evaluable arguments, so the
-  // v4 rules can reason inside callees (a serialization read length
-  // that is always a literal stays bounded in CrcIn::read).
-  lint::collectParamIntervals(AuditInputs, Ctx);
 
   std::vector<lint::Finding> Findings;
   for (const Input &In : Inputs) {
