@@ -178,6 +178,21 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
   Pressure.NodeBudget = Config.effectiveNodeBudget();
   if (Config.EnableRangeFence)
     Fence.init(Config.RangeBits);
+  // Two keys whose XOR is K bits wide agree above bit K - 1, so they
+  // share every node at least K bits wide: the depths d with
+  // d * bitsPerLevel <= RangeBits - K. Equal keys share the whole
+  // path; keys differing above the universe (which NDEBUG builds let
+  // through) resume at the root, and so do keys sharing fewer than
+  // MinResumeDepth levels.
+  unsigned BitsPerLevel = Config.bitsPerLevel();
+  for (unsigned K = 0; K != MaxPathLen; ++K) {
+    unsigned Shared = K == 0 ? MaxPathLen
+                      : K <= Config.RangeBits
+                          ? (Config.RangeBits - K) / BitsPerLevel
+                          : 0;
+    FingerDepth[K] =
+        static_cast<uint8_t>(Shared >= MinResumeDepth ? Shared : 0);
+  }
 }
 
 uint64_t RapTree::rebuildFenceWalk(uint32_t Node) {
@@ -291,19 +306,19 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   return Tree;
 }
 
-/// The update descent: from the root to the smallest existing node
-/// covering \p X, calling \p Visit on every node of that path (root
-/// first). It touches only the Navs slab: one 64-bit load per level,
-/// and the child slot falls out of a shift-and-mask on X because every
-/// node's lo() is aligned to its width (no subtraction needed).
-/// \p Width enters as the root's widthBits and leaves as the landing
-/// node's, read off the parent's navigation word.
+/// The update descent: from \p Node (the root, or a node already known
+/// to cover \p X) to the smallest existing node covering \p X, calling
+/// \p Visit on every node of that path (\p Node first). It touches
+/// only the Navs slab: one 64-bit load per level, and the child slot
+/// falls out of a shift-and-mask on X because every node's lo() is
+/// aligned to its width (no subtraction needed). \p Width enters as
+/// \p Node's widthBits and leaves as the landing node's, read off the
+/// parent's navigation word.
 template <typename VisitFn>
-static uint32_t descend(const NodeArena &Arena, uint64_t X, unsigned &Width,
-                        VisitFn Visit) {
+static uint32_t descend(const NodeArena &Arena, uint32_t Node, uint64_t X,
+                        unsigned &Width, VisitFn Visit) {
   const uint64_t *NavData = Arena.Navs.data();
-  uint32_t Node = 0;
-  uint64_t Nav = NavData[0];
+  uint64_t Nav = NavData[Node];
   Visit(Node);
   while (!NodeArena::navIsLeaf(Nav)) {
     unsigned Shift = NodeArena::navChildShift(Nav);
@@ -324,7 +339,7 @@ static uint32_t descend(const NodeArena &Arena, uint64_t X, unsigned &Width,
 
 uint32_t RapTree::descendIndex(uint64_t X) const {
   unsigned Width = Config.RangeBits;
-  return descend(Arena, X, Width, [](uint32_t) {});
+  return descend(Arena, 0, X, Width, [](uint32_t) {});
 }
 
 const RapNode &RapTree::findSmallestCover(uint64_t X) const {
@@ -342,14 +357,35 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
          "event outside the configured universe");
   NumEvents = saturatingAdd(NumEvents, Weight);
 
-  // The descent adds the weight to the subtree sum of every node on
-  // its path. The landing width comes from the descent, so the split
-  // check below never loads Widths.
+  // Finger descent: the previous update's path is still a root path
+  // of the tree (see Finger in RapTree.h), and its nodes down to depth
+  // Depth cover X too, because X agrees with FingerKey on every bit
+  // above their widths. The ones above Depth take the weight into
+  // their subtree sums as independent stores, with no navigation
+  // load; the descent resumes at Finger[Depth] and records the levels
+  // it walks, adding the weight on each. The landing width comes from
+  // the descent, so the split check below never loads Widths.
   uint64_t *Sums = Arena.Sums.data();
-  unsigned Width = Config.RangeBits;
-  uint32_t Node = descend(Arena, X, Width, [Sums, Weight](uint32_t N) {
-    Sums[N] = saturatingAdd(Sums[N], Weight);
-  });
+  unsigned Depth = std::min<unsigned>(
+      FingerDepth[std::bit_width(X ^ FingerKey)], FingerLast);
+  // A branch rather than Finger[Depth] as the start: on a stream with
+  // no locality it predicts the root, so the descent does not wait on
+  // the table and path loads.
+  uint32_t Start = 0;
+  if (Depth != 0) {
+    for (unsigned I = 0; I != Depth; ++I)
+      Sums[Finger[I]] = saturatingAdd(Sums[Finger[I]], Weight);
+    Start = Finger[Depth];
+  }
+  unsigned Step = Depth * Config.bitsPerLevel();
+  unsigned Width = Step < Config.RangeBits ? Config.RangeBits - Step : 0;
+  uint32_t Node = descend(Arena, Start, X, Width,
+                          [Sums, Weight, Path = Finger, &Depth](uint32_t N) {
+                            Sums[N] = saturatingAdd(Sums[N], Weight);
+                            Path[Depth++] = N;
+                          });
+  FingerLast = Depth - 1;
+  FingerKey = X;
   uint64_t OldCount = Arena.Counts[Node];
   uint64_t NewCount = saturatingAdd(OldCount, Weight);
   Arena.Counts[Node] = NewCount;
@@ -449,6 +485,7 @@ uint64_t RapTree::forcedMergePass() {
   double Threshold = std::max(1.0, Config.mergeThreshold(NumEvents) * Scale);
   uint64_t Removed = 0;
   uint64_t Folded = 0;
+  FingerLast = 0; // The pass may kill or free nodes on the finger.
   mergeWalk(0, Threshold, Removed, &Folded);
   ++Pressure.ForcedMergePasses;
   Pressure.ReclaimedNodes += Removed;
@@ -646,6 +683,7 @@ void RapTree::absorb(const RapTree &Other) {
   assert(Config.RangeBits == Other.Config.RangeBits &&
          Config.BranchFactor == Other.Config.BranchFactor &&
          "absorb requires identical tree geometry");
+  FingerLast = 0; // The merge and budget passes below may kill nodes.
   unionWith(0, Other.root());
   NumEvents = saturatingAdd(NumEvents, Other.NumEvents);
   MaxNumNodes = std::max(MaxNumNodes, NumNodes);
@@ -667,6 +705,7 @@ void RapTree::absorb(const RapTree &Other) {
 uint64_t RapTree::mergeNow() {
   double Threshold = Config.mergeThreshold(NumEvents);
   uint64_t Removed = 0;
+  FingerLast = 0; // The pass may kill or free nodes on the finger.
   mergeWalk(0, Threshold, Removed);
   ++NumMergePasses;
   NumMergedNodes += Removed;

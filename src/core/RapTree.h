@@ -25,7 +25,11 @@
 /// Nodes are stored in a slab arena with 32-bit indices (see
 /// RapNode.h): the update descend is one packed-word load per level
 /// with branchless child selection, and counters live in a
-/// structure-of-arrays layout. The descend also keeps a per-node
+/// structure-of-arrays layout. An update costs O(depth - shared
+/// prefix with the previous update) of those loads: it resumes at the
+/// deepest node of the previous update's root path that still covers
+/// the new event (the finger), and the shared ancestors take the
+/// weight as independent stores. The descend also keeps a per-node
 /// subtree-sum column current, so range reads walk only the two
 /// boundary paths (O(b * depth)) instead of every node in the range.
 /// The semantics are bit-for-bit those of the original pointer-based
@@ -365,6 +369,28 @@ private:
   RangeFence Fence;
   /// Count of positive own counters; see numWarmNodes().
   uint64_t WarmNodes = 0;
+
+  /// Root path of the previous addPoint: Finger[D] is its depth-D node
+  /// covering FingerKey, from the root (Finger[0], always id 0) down to
+  /// the landing node Finger[FingerLast]. Splits and revives only add
+  /// nodes below a live node, so the path stays a root path through
+  /// them; every pass that can kill or free nodes (mergeNow,
+  /// forcedMergePass, absorb) cuts it back to the root. Update-path
+  /// state only: const readers never use it and snapshots never carry
+  /// it.
+  static constexpr unsigned MaxPathLen = 65; // RangeBits 64, one bit a level
+  uint32_t Finger[MaxPathLen] = {};
+  unsigned FingerLast = 0;
+  uint64_t FingerKey = 0;
+  /// FingerDepth[K]: the deepest level at which two keys whose XOR is K
+  /// bits wide still share a node, or 0 below MinResumeDepth (filled by
+  /// the constructor).
+  uint8_t FingerDepth[MaxPathLen] = {};
+  /// Shallower shared prefixes descend from the root: resuming puts the
+  /// table and path loads in front of the first navigation load and
+  /// adds a data-dependent loop, which the few levels saved do not pay
+  /// for on streams without locality (DESIGN.md §5.3).
+  static constexpr unsigned MinResumeDepth = 4;
 };
 
 } // namespace rap

@@ -22,8 +22,11 @@
 /// Draining returns the pairs in ascending event order — the same
 /// insertion-independent deterministic order as hw/EventBuffer::drain(),
 /// which is what makes combined runs reproducible, oracle-checkable,
-/// and cache-friendly downstream (sorted deliveries descend the tree
-/// in prefix-sharing order).
+/// and cheap downstream: consecutive sorted pairs share long key
+/// prefixes, and RapTree::addPoint resumes each descent where the
+/// previous one's path still covers the key, so a delivered pair
+/// costs O(depth - shared prefix with the previous pair) rather than
+/// a walk from the root.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -44,12 +44,6 @@ DifferentialOracle::DifferentialOracle(const RapConfig &TreeConfig,
     : Config(TreeConfig), Options(Opts), Tree(TreeConfig), Auditor(Tree),
       Flat(std::max(TreeConfig.RangeBits, 1u),
            flatBuckets(TreeConfig, Opts.FlatBucketBits)) {
-  // The preserved legacy tree models neither resource governance nor
-  // randomized admission: under a node budget or an admission gate the
-  // arena tree lawfully diverges from it, so the structural
-  // cross-check is meaningless and is forced off.
-  if (Config.effectiveNodeBudget() != 0 || Config.EnableAdmission)
-    Options.CrossCheckReference = false;
   if (Options.CrossCheckReference)
     Reference = std::make_unique<ReferenceRapTree>(TreeConfig);
   if (Options.CrossCheckFence) {
@@ -368,6 +362,21 @@ void DifferentialOracle::checkReference() {
          Reference->numNodes(), Tree.numSplits(), Reference->numSplits(),
          Tree.numMergePasses(), Reference->numMergePasses(),
          Tree.nextMergeAt(), Reference->nextMergeAt());
+  const TreePressure &P = Tree.pressure(), &L = Reference->pressure();
+  if (P.BudgetHits != L.BudgetHits || P.RefusedSplits != L.RefusedSplits ||
+      P.ForcedMergePasses != L.ForcedMergePasses ||
+      P.ReclaimedNodes != L.ReclaimedNodes ||
+      P.CoarsenLevel != L.CoarsenLevel ||
+      P.DegradedWeight != L.DegradedWeight ||
+      P.AdmissionDeniedSplits != L.AdmissionDeniedSplits ||
+      P.AdmissionDeferredWeight != L.AdmissionDeferredWeight)
+    fail(Violations, "arena-reference-divergence",
+         "pressure diverges: forced=%" PRIu64 "/%" PRIu64
+         " refused=%" PRIu64 "/%" PRIu64 " degraded=%" PRIu64 "/%" PRIu64
+         " denied=%" PRIu64 "/%" PRIu64,
+         P.ForcedMergePasses, L.ForcedMergePasses, P.RefusedSplits,
+         L.RefusedSplits, P.DegradedWeight, L.DegradedWeight,
+         P.AdmissionDeniedSplits, L.AdmissionDeniedSplits);
   if (Tree.mergeEventCounts() != Reference->mergeEventCounts())
     fail(Violations, "arena-reference-divergence",
          "merge timelines diverge (%zu vs %zu merge passes recorded)",

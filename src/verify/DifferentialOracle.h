@@ -84,7 +84,10 @@ struct OracleOptions {
   /// legacy implementation (ReferenceRapTree) fed the identical
   /// (combined) stream. Preorder (lo, width, count) identity implies
   /// identical estimates, brackets and hot ranges, which is the
-  /// arena-vs-legacy equivalence guarantee.
+  /// arena-vs-legacy equivalence guarantee. The legacy tree models
+  /// node budgets and admission too (TreePressure counters are
+  /// compared as well), but not injected allocation failures: turn
+  /// this off when a failpoint is armed.
   bool CrossCheckReference = true;
 
   /// Maintain a twin RapTree with EnableRangeFence flipped, fed the

@@ -9,7 +9,9 @@
 // path line for line (same operations in the same order, including the
 // saturation and floating-point comparisons): any behavioral edit here
 // changes the specification the oracle checks the arena tree against,
-// so do not "improve" it.
+// so do not "improve" it. The budget and admission routines (admitSplit,
+// trySplit, splitAllocCount, forcedMergePass) came after the arena and
+// mirror core/RapTree.cpp's the same way.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,6 +52,8 @@ ReferenceRapTree::ReferenceRapTree(const RapConfig &TreeConfig)
   assert(Config.validate(nullptr) && "invalid config for reference tree");
   Root = std::make_unique<Node>(0, Config.RangeBits);
   NextMergeAt = Config.InitialMergeInterval;
+  AdmissionRngState = Config.AdmissionSeed;
+  Pressure.NodeBudget = Config.effectiveNodeBudget();
 }
 
 ReferenceRapTree::~ReferenceRapTree() = default;
@@ -82,13 +86,91 @@ void ReferenceRapTree::addPoint(uint64_t X, uint64_t Weight) {
   N->Count = saturatingAdd(N->Count, Weight);
 
   if (!N->isUnitRange() &&
-      static_cast<double>(N->Count) > Config.splitThreshold(NumEvents))
-    splitNode(*N);
+      static_cast<double>(N->Count) > Config.splitThreshold(NumEvents) &&
+      (!Config.EnableAdmission || admitSplit(N->Count, Weight)))
+    trySplit(N, X, Weight);
 
   if (Config.EnableMerges && NumEvents >= NextMergeAt) {
     mergeNow();
     scheduleAfterMerge();
   }
+}
+
+bool ReferenceRapTree::admitSplit(uint64_t NewCount, uint64_t Weight) {
+  uint64_t Z = (AdmissionRngState += 0x9e3779b97f4a7c15ULL);
+  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebULL;
+  Z ^= Z >> 31;
+  double Draw = static_cast<double>(Z >> 11) * 0x1.0p-53;
+  double Threshold = Config.splitThreshold(NumEvents);
+  double Over = static_cast<double>(NewCount) - Threshold;
+  if (Draw < Over / (Config.AdmissionCoarseness * Threshold + 1.0))
+    return true;
+  ++Pressure.AdmissionDeniedSplits;
+  Pressure.AdmissionDeferredWeight =
+      saturatingAdd(Pressure.AdmissionDeferredWeight, Weight);
+  return false;
+}
+
+uint64_t ReferenceRapTree::splitAllocCount(const Node &N) const {
+  unsigned BitsPerLevel = Config.bitsPerLevel();
+  unsigned ChildBits =
+      N.WidthBits > BitsPerLevel ? N.WidthBits - BitsPerLevel : 0;
+  if (N.Children.empty())
+    return uint64_t(1) << (N.WidthBits - ChildBits);
+  uint64_t Missing = 0;
+  for (const auto &Child : N.Children)
+    if (!Child)
+      ++Missing;
+  return Missing;
+}
+
+static constexpr uint64_t MaxCoarsenLevel = 60;
+
+uint64_t ReferenceRapTree::forcedMergePass() {
+  double Scale = std::ldexp(
+      1.0, static_cast<int>(std::min(Pressure.CoarsenLevel, MaxCoarsenLevel)));
+  double Threshold = std::max(1.0, Config.mergeThreshold(NumEvents) * Scale);
+  uint64_t Removed = 0;
+  uint64_t Folded = 0;
+  mergeWalk(*Root, Threshold, Removed, &Folded);
+  ++Pressure.ForcedMergePasses;
+  Pressure.ReclaimedNodes += Removed;
+  Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Folded);
+  return Removed;
+}
+
+void ReferenceRapTree::trySplit(Node *N, uint64_t X, uint64_t Weight) {
+  uint64_t Budget = Pressure.NodeBudget;
+  if (Budget == 0) {
+    splitNode(*N);
+    return;
+  }
+  bool Charged = false;
+  if (Pressure.ForcedMergePasses != 0 && N->Count > Weight &&
+      static_cast<double>(N->Count - Weight) >
+          Config.splitThreshold(NumEvents)) {
+    Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
+    Charged = true;
+  }
+  if (NumNodes + splitAllocCount(*N) > Budget) {
+    ++Pressure.BudgetHits;
+    forcedMergePass();
+    N = descend(X);
+    bool StillWants =
+        !N->isUnitRange() &&
+        static_cast<double>(N->Count) > Config.splitThreshold(NumEvents);
+    if (!StillWants || NumNodes + splitAllocCount(*N) > Budget) {
+      ++Pressure.RefusedSplits;
+      if (!Charged)
+        Pressure.DegradedWeight =
+            saturatingAdd(Pressure.DegradedWeight, Weight);
+      if (Pressure.CoarsenLevel < MaxCoarsenLevel)
+        ++Pressure.CoarsenLevel;
+      return;
+    }
+  }
+  splitNode(*N);
 }
 
 void ReferenceRapTree::splitNode(Node &N) {
@@ -113,7 +195,8 @@ void ReferenceRapTree::splitNode(Node &N) {
 }
 
 uint64_t ReferenceRapTree::mergeWalk(Node &N, double Threshold,
-                                     uint64_t &Removed) {
+                                     uint64_t &Removed,
+                                     uint64_t *FoldedWeight) {
   uint64_t Total = N.Count;
   if (!N.hasChildren())
     return Total;
@@ -122,10 +205,13 @@ uint64_t ReferenceRapTree::mergeWalk(Node &N, double Threshold,
   for (auto &ChildSlot : N.Children) {
     if (!ChildSlot)
       continue;
-    uint64_t ChildWeight = mergeWalk(*ChildSlot, Threshold, Removed);
+    uint64_t ChildWeight =
+        mergeWalk(*ChildSlot, Threshold, Removed, FoldedWeight);
     Total = saturatingAdd(Total, ChildWeight);
     if (static_cast<double>(ChildWeight) < Threshold) {
       N.Count = saturatingAdd(N.Count, ChildWeight);
+      if (FoldedWeight)
+        *FoldedWeight = saturatingAdd(*FoldedWeight, ChildWeight);
       uint64_t Dropped = ChildSlot->subtreeNodeCount();
       Removed += Dropped;
       NumNodes -= Dropped;

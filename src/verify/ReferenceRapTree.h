@@ -15,6 +15,12 @@
 /// order — against which the DifferentialOracle structurally
 /// cross-checks every arena tree it audits.
 ///
+/// The node budget and split-admission regimes came after the arena;
+/// they are modelled here statement for statement like core/RapTree's
+/// admitSplit, trySplit and forcedMergePass (allocation failures
+/// aside: this tree never fails to allocate), so budgeted and admission
+/// trees have a root-descending twin as well.
+///
 /// Two trees that agree on the preorder (lo, widthBits, count) node
 /// sequence agree on every estimate, hot-range extraction and bound the
 /// library derives, so structural identity here is the strongest
@@ -27,6 +33,7 @@
 #ifndef RAP_VERIFY_REFERENCERAPTREE_H
 #define RAP_VERIFY_REFERENCERAPTREE_H
 
+#include "core/Pressure.h"
 #include "core/RapConfig.h"
 
 #include <cstdint>
@@ -69,6 +76,7 @@ public:
   const std::vector<uint64_t> &mergeEventCounts() const {
     return MergeEventCounts;
   }
+  const TreePressure &pressure() const { return Pressure; }
 
   /// The tree's nodes as preorder (lo, widthBits, count) triples —
   /// root first, children in ascending slot order. Comparing this
@@ -80,8 +88,13 @@ private:
   struct Node;
 
   Node *descend(uint64_t X);
+  bool admitSplit(uint64_t NewCount, uint64_t Weight);
+  void trySplit(Node *N, uint64_t X, uint64_t Weight);
+  uint64_t splitAllocCount(const Node &N) const;
+  uint64_t forcedMergePass();
   void splitNode(Node &N);
-  uint64_t mergeWalk(Node &N, double Threshold, uint64_t &Removed);
+  uint64_t mergeWalk(Node &N, double Threshold, uint64_t &Removed,
+                     uint64_t *FoldedWeight = nullptr);
   void scheduleAfterMerge();
 
   RapConfig Config;
@@ -94,6 +107,8 @@ private:
   uint64_t NumMergedNodes = 0;
   uint64_t NextMergeAt;
   std::vector<uint64_t> MergeEventCounts;
+  TreePressure Pressure;
+  uint64_t AdmissionRngState = 0;
 };
 
 } // namespace rap

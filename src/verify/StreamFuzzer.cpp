@@ -58,6 +58,15 @@ uint64_t mix64(uint64_t Z) {
 /// Maps a raw 64-bit draw into [0, 1), platform-stable.
 double toUnit(uint64_t X) { return static_cast<double>(X >> 11) * 0x1.0p-53; }
 
+/// Enables the split-admission gate with a drawn coarseness from
+/// {1, 2, 4, 8} and a drawn admission seed (two draws from \p M).
+void drawAdmission(RapConfig &C, SplitMix64 &M) {
+  static const double Coarseness[] = {1.0, 2.0, 4.0, 8.0};
+  C.EnableAdmission = true;
+  C.AdmissionCoarseness = Coarseness[M.next() % 4];
+  C.AdmissionSeed = M.next();
+}
+
 } // namespace
 
 StreamFuzzer::StreamFuzzer(uint64_t Seed, StreamShape StreamKind,
@@ -276,10 +285,28 @@ FuzzEpisode rap::deriveAdmissionEpisode(uint64_t MasterSeed, uint64_t Index) {
   // base episode stays bit-identical so admission episodes replay
   // against the same configs and streams.
   SplitMix64 M(MasterSeed ^ (0x8cb92ba72f3d8dd7ULL * (Index + 1)));
-  static const double Coarseness[] = {1.0, 2.0, 4.0, 8.0};
-  E.Config.EnableAdmission = true;
-  E.Config.AdmissionCoarseness = Coarseness[M.next() % 4];
-  E.Config.AdmissionSeed = M.next();
+  drawAdmission(E.Config, M);
+  return E;
+}
+
+FuzzEpisode rap::deriveSortedEpisode(uint64_t MasterSeed, uint64_t Index) {
+  FuzzEpisode E = deriveEpisode(MasterSeed, Index);
+  // A separate draw stream (same pattern as deriveArenaEpisode): the
+  // base episode stays bit-identical so sorted episodes replay against
+  // the same configs and streams.
+  SplitMix64 M(MasterSeed ^ (0x3c6ef372fe94f82bULL * (Index + 1)));
+  static const uint64_t Windows[] = {16, 256, 1024, 16384};
+  E.SortWindow = Windows[M.next() % 4];
+  switch (M.next() % 3) {
+  case 1:
+    drawAdmission(E.Config, M);
+    break;
+  case 2:
+    E.Config.MaxNodes = 64;
+    break;
+  default:
+    break;
+  }
   return E;
 }
 
@@ -292,12 +319,8 @@ FuzzEpisode rap::deriveFenceEpisode(uint64_t MasterSeed, uint64_t Index) {
   E.FenceTwin = true;
   E.Config.EnableRangeFence = true; // the OFF twin flips this
   uint64_t Regime = M.next() % 4;
-  if (Regime == 1 || Regime == 3) {
-    static const double Coarseness[] = {1.0, 2.0, 4.0, 8.0};
-    E.Config.EnableAdmission = true;
-    E.Config.AdmissionCoarseness = Coarseness[M.next() % 4];
-    E.Config.AdmissionSeed = M.next();
-  }
+  if (Regime == 1 || Regime == 3)
+    drawAdmission(E.Config, M);
   if (Regime == 2 || Regime == 3) {
     if (M.next() % 2 == 0)
       E.Config.MaxMemoryBytes = 4096;
@@ -379,11 +402,11 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
 
   OracleOptions Options;
   Options.CombineCapacity = Episode.CombineCapacity;
-  // The legacy reference tree models no resource governance and no
-  // allocation faults, so it diverges (correctly) from the governed
-  // tree; the exact and flat oracles plus the degraded error budget
-  // still bound the estimates.
-  if (Episode.Config.effectiveNodeBudget() != 0 || Episode.AllocFailEvery != 0)
+  // The legacy reference tree models no allocation faults, so it
+  // diverges (correctly) from a tree whose split failed; the exact and
+  // flat oracles plus the degraded error budget still bound the
+  // estimates.
+  if (Episode.AllocFailEvery != 0)
     Options.CrossCheckReference = false;
   // The fence twin survives budgets and admission (both per-tree
   // deterministic), but not injected allocation faults: the failpoint
@@ -409,11 +432,32 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
     return Report.Violations.empty();
   };
 
+  // Sorted episodes draw whole windows and deliver each in ascending
+  // order, so a run of N events is a prefix of any longer run (which
+  // minimizeFailure relies on).
+  std::vector<StreamEvent> Window;
+  size_t WindowPos = 0;
+  auto NextEvent = [&] {
+    if (Episode.SortWindow == 0)
+      return Stream.next();
+    if (WindowPos == Window.size()) {
+      Window.clear();
+      for (uint64_t J = 0; J != Episode.SortWindow; ++J)
+        Window.push_back(Stream.next());
+      std::stable_sort(Window.begin(), Window.end(),
+                       [](const StreamEvent &A, const StreamEvent &B) {
+                         return A.X < B.X;
+                       });
+      WindowPos = 0;
+    }
+    return Window[WindowPos++];
+  };
+
   for (uint64_t I = 0; I != NumEvents; ++I) {
     if (Episode.AllocFailEvery != 0 &&
         (I + 1) % Episode.AllocFailEvery == 0)
       failpoints::arm(failpoints::Fp::ArenaAlloc);
-    StreamEvent Event = Stream.next();
+    StreamEvent Event = NextEvent();
     Oracle.addPoint(Event.X, Event.Weight);
     if (CheckEvery != 0 && (I + 1) % CheckEvery == 0 && I + 1 != NumEvents)
       if (!CheckPoint(I + 1))

@@ -121,6 +121,13 @@ struct FuzzEpisode {
   /// the byte stream, every one of which must be rejected.
   bool SnapshotChecks = false;
 
+  /// When nonzero (rap_fuzz --sorted), the stream is drawn in windows
+  /// of this many events and each window is delivered in ascending
+  /// order, the order stage-0 drains hand the tree: consecutive
+  /// updates share long root paths, which is what the finger descent
+  /// resumes from. Every oracle sees the delivered (sorted) stream.
+  uint64_t SortWindow = 0;
+
   /// Fence-mode episode (rap_fuzz --fence): the episode is run by
   /// runFenceFuzzEpisode, which drives a fence-ON tree through the
   /// full oracle battery while cross-checking a fence-OFF twin fed
@@ -166,6 +173,14 @@ FuzzEpisode deriveShardedEpisode(uint64_t MasterSeed, uint64_t Index);
 /// episode replays deterministically including every admit/deny
 /// decision.
 FuzzEpisode deriveAdmissionEpisode(uint64_t MasterSeed, uint64_t Index);
+
+/// Like deriveEpisode (identical config/stream for the same inputs)
+/// but delivered in sorted windows (a drawn SortWindow of 16 to 16384
+/// events), with a drawn regime on top: nothing, the admission gate,
+/// or a 64-node budget whose forced passes cut the finger back. The
+/// oracle cross-checks the legacy tree (which always descends from
+/// the root) in all three.
+FuzzEpisode deriveSortedEpisode(uint64_t MasterSeed, uint64_t Index);
 
 /// Like deriveEpisode (identical config/stream for the same inputs)
 /// but marked as a fence-twin episode, with a drawn governance regime

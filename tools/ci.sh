@@ -24,7 +24,10 @@
 #      an admission-off twin fed the identical stream), and the fence
 #      regime (cold-range fence tree vs a fence-off twin: bit-equal
 #      answers, every provably-cold verdict checked against the
-#      unfenced walk)
+#      unfenced walk), and the sorted regime (each episode delivered in
+#      ascending windows as stage-0 drains deliver it, so updates
+#      resume deep in the previous update's path, under the legacy
+#      root-descending cross-check)
 #   5. ThreadSanitizer build + the `concurrency` ctest label (the
 #      threaded ShardedRapSession suite and bench_parallel smoke) plus
 #      a 25-episode sharded fuzz slice — concurrent ingest threads
@@ -95,6 +98,9 @@ step "admission fuzz slice (gated splits vs admission-off twin, ASan)"
 
 step "fence fuzz slice (cold-range fence vs fence-off twin, ASan)"
 ./build-asan/tools/rap_fuzz --fence --episodes=25 --seed=1 --events=8000
+
+step "sorted fuzz slice (ascending stage-0 windows, finger descent, ASan)"
+./build-asan/tools/rap_fuzz --sorted --episodes=25 --seed=1 --events=8000
 
 step "ThreadSanitizer build + concurrency label + sharded fuzz slice"
 cmake -B build-tsan -S . -DRAP_SANITIZE=thread >/dev/null

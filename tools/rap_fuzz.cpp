@@ -42,6 +42,13 @@
 // proves cold must retain zero weight on the unfenced walk. Replays
 // need --fence too.
 //
+// --sorted derives each episode with a sort window and delivers the
+// stream in ascending windows, the order stage-0 drains hand the tree
+// (so consecutive updates share long root paths and the finger
+// descent resumes deep), sometimes under the admission gate or a
+// 64-node budget. The oracle, including the root-descending legacy
+// tree, sees the delivered stream. Replays need --sorted too.
+//
 // --admission derives each episode with the randomized split
 // admission gate enabled (a drawn coarseness and admission seed) and
 // runs the admission-ON tree through the full oracle battery — which
@@ -87,6 +94,9 @@ void describeEpisode(const FuzzEpisode &E) {
                 E.Config.AdmissionCoarseness, E.Config.AdmissionSeed);
   if (E.FenceTwin)
     std::printf("  fence: twin cross-check (fenced vs unfenced)\n");
+  if (E.SortWindow != 0)
+    std::printf("  sorted: ascending windows of %" PRIu64 " events\n",
+                E.SortWindow);
 }
 
 void printViolations(const FuzzReport &Report, uint64_t Limit) {
@@ -127,6 +137,9 @@ int main(int Argc, char **Argv) {
   Args.addBool("fence",
                "fuzz the cold-range fence against a fence-off twin fed "
                "the identical stream (bit-exact query equivalence)");
+  Args.addBool("sorted",
+               "deliver each episode's stream in ascending windows, as "
+               "stage-0 drains do (deep finger-descent resumes)");
   Args.addBool("verbose", "describe every episode, not just failures");
   if (!Args.parse(Argc, Argv))
     return 2;
@@ -139,11 +152,12 @@ int main(int Argc, char **Argv) {
   bool Sharded = Args.getBool("sharded");
   bool Admission = Args.getBool("admission");
   bool Fence = Args.getBool("fence");
+  bool Sorted = Args.getBool("sorted");
   if (int(Arena) + int(Faults) + int(Sharded) + int(Admission) +
-          int(Fence) > 1) {
+          int(Fence) + int(Sorted) > 1) {
     std::fprintf(stderr,
                  "rap_fuzz: --arena, --faults, --sharded, --admission, "
-                 "and --fence are exclusive\n");
+                 "--fence and --sorted are exclusive\n");
     return 2;
   }
   auto Derive = [&](uint64_t Index) {
@@ -152,6 +166,7 @@ int main(int Argc, char **Argv) {
            : Arena     ? deriveArenaEpisode(Seed, Index)
            : Admission ? deriveAdmissionEpisode(Seed, Index)
            : Fence     ? deriveFenceEpisode(Seed, Index)
+           : Sorted    ? deriveSortedEpisode(Seed, Index)
                        : deriveEpisode(Seed, Index);
   };
   auto Run = [&](const FuzzEpisode &E, uint64_t Events, uint64_t Every) {
@@ -204,6 +219,7 @@ int main(int Argc, char **Argv) {
                 : Arena     ? " --arena"
                 : Admission ? " --admission"
                 : Fence     ? " --fence"
+                : Sorted    ? " --sorted"
                             : "",
                 Seed, I, Minimal);
   }
