@@ -19,7 +19,7 @@
 #include "bench/Common.h"
 #include "core/MultiDimRap.h"
 #include "core/Serialization.h"
-#include "hw/EventBuffer.h"
+#include "core/StageZeroBuffer.h"
 #include "hw/PipelinedEngine.h"
 #include "support/Rng.h"
 
@@ -111,9 +111,9 @@ void BM_HotRangeExtraction(benchmark::State &State) {
 }
 BENCHMARK(BM_HotRangeExtraction);
 
-void BM_EventBufferPush(benchmark::State &State) {
+void BM_StageZeroBufferPush(benchmark::State &State) {
   static const std::vector<uint64_t> Stream = makeCodeStream(1 << 20);
-  EventBuffer Buffer(1024);
+  StageZeroBuffer Buffer(1024);
   size_t Index = 0;
   for (auto _ : State) {
     if (Buffer.push(Stream[Index]))
@@ -124,7 +124,7 @@ void BM_EventBufferPush(benchmark::State &State) {
   State.SetItemsProcessed(State.iterations());
   State.counters["combining"] = Buffer.combiningFactor();
 }
-BENCHMARK(BM_EventBufferPush);
+BENCHMARK(BM_StageZeroBufferPush);
 
 void BM_PipelinedEngine_CodeProfile(benchmark::State &State) {
   static const std::vector<uint64_t> Stream = makeCodeStream(1 << 20);

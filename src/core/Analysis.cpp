@@ -85,7 +85,7 @@ void intervalHotWalk(const RapNode &Node, const IntervalProfile &Interval,
   // child is hot, report the children instead of this node.
   size_t BeforeSize = Out.size();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       intervalHotWalk(*Child, Interval, Threshold, Depth + 1, Out);
   if (Out.size() != BeforeSize)
     return;

@@ -72,7 +72,7 @@ static uint64_t boxWalk(const RapNode &Node, const MdSquare &B) {
     return Node.subtreeWeight();
   uint64_t Total = 0;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, boxWalk(*Child, B));
   return Total;
 }

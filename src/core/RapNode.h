@@ -18,10 +18,12 @@
 /// node occupy one contiguous block of ids. The update path therefore
 /// descends by loading one packed navigation word per level — no
 /// pointer chasing, and child selection is a branchless shift-and-mask
-/// because every node range is aligned to its own width. RapNode is a
-/// 16-byte handle (arena pointer + id) preserving the original
-/// pointer-based read API; handles live in a std::deque so their
-/// addresses stay stable while the arena grows.
+/// because every node range is aligned to its own width. The arena
+/// stores no range at all: a node's lo and width follow from the path
+/// that reaches it (a child's lo is its parent's lo plus its slot
+/// shifted by the child width the parent's navigation word holds).
+/// RapNode is therefore a value handle that carries the range it was
+/// reached with next to the arena id it reads counters through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -32,37 +34,38 @@
 
 #include <cassert>
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 namespace rap {
-
-class RapTree;
 
 namespace detail {
 struct NodeArena;
 } // namespace detail
 
-/// One range-counter of the profile tree. A lightweight handle into the
-/// owning tree's node arena; copying it does not copy the node.
+/// One range-counter of the profile tree: a value handle (arena, id,
+/// range) into the owning tree's node arena. Copying it does not copy
+/// the node; its counters are read live, its range is fixed at mint
+/// time. A handle is valid until the tree next changes shape (an
+/// update, merge or absorb may kill or recycle its slot).
 class RapNode {
-  friend class RapTree;
-
 public:
-  /// Internal: binds a handle to arena slot \p NodeIndex. Handles are
-  /// minted by the arena itself; user code receives them from
-  /// RapTree::root(), child() and findSmallestCover().
-  RapNode(const detail::NodeArena *ArenaPtr, uint32_t NodeIndex)
-      : Arena(ArenaPtr), Index(NodeIndex) {}
+  /// Internal: binds a handle to arena slot \p NodeIndex covering
+  /// [\p NodeLo, \p NodeLo + 2^\p NodeWidthBits). User code receives
+  /// handles from RapTree::root(), child() and findSmallestCover().
+  RapNode(const detail::NodeArena *ArenaPtr, uint32_t NodeIndex,
+          uint64_t NodeLo, unsigned NodeWidthBits)
+      : Arena(ArenaPtr), Lo(NodeLo), Index(NodeIndex),
+        WidthBits(NodeWidthBits) {}
 
   /// Lowest value covered by this node.
-  uint64_t lo() const;
+  uint64_t lo() const { return Lo; }
 
   /// Highest value covered by this node (inclusive).
-  uint64_t hi() const;
+  uint64_t hi() const { return Lo + lowBitMask(WidthBits); }
 
   /// log2 of the number of values this node covers.
-  unsigned widthBits() const;
+  unsigned widthBits() const { return WidthBits; }
 
   /// Events recorded on this node's own counter (excludes descendants).
   uint64_t count() const;
@@ -81,9 +84,9 @@ public:
   /// fully merged back into a leaf).
   unsigned numChildSlots() const;
 
-  /// Child at \p Slot, or null if that sub-range is currently merged
-  /// into this node.
-  const RapNode *child(unsigned Slot) const;
+  /// Child at \p Slot, or nullopt if that sub-range is currently
+  /// merged into this node.
+  std::optional<RapNode> child(unsigned Slot) const;
 
   /// Total weight of this node plus all descendants. This is the RAP
   /// estimate for the number of stream events in [lo(), hi()]; it is
@@ -97,14 +100,16 @@ public:
 
 private:
   const detail::NodeArena *Arena;
+  uint64_t Lo;
   uint32_t Index;
+  unsigned WidthBits;
 };
 
 namespace detail {
 
 /// Slab storage for every node of one tree, structure-of-arrays.
 ///
-/// Node ids are 32-bit indices into five parallel vectors. The children
+/// Node ids are 32-bit indices into three parallel vectors. The children
 /// of a split node are one contiguous id block, so locating the child
 /// covering X needs only the parent's packed navigation word:
 ///
@@ -137,16 +142,9 @@ struct NodeArena {
   static constexpr uint64_t LeafNav = InvalidIndex;
   static constexpr uint64_t DeadLeafNav = LeafNav | DeadBit;
 
-  std::vector<uint64_t> Los;    ///< lo() per node.
   std::vector<uint64_t> Counts; ///< own counter per node.
   std::vector<uint64_t> Sums;   ///< subtree weight per node (see above).
   std::vector<uint64_t> Navs;   ///< packed navigation word per node.
-  std::vector<uint8_t> Widths;  ///< widthBits() per node.
-
-  /// Address-stable handle per node (deque: growth never moves
-  /// existing elements), so the child()/root() reference API of the
-  /// pointer-based tree keeps working over arena storage.
-  std::deque<RapNode> Handles;
 
   /// Recycled child blocks, indexed by log2 of the block's slot count.
   std::vector<std::vector<uint32_t>> FreeBlocks;
@@ -170,21 +168,33 @@ struct NodeArena {
            (uint64_t(SlotLog2) << 40);
   }
 
-  /// Calls \p F with the id of every live child of \p Node, in slot
-  /// (ascending lo) order.
-  template <typename Fn> void forEachLiveChild(uint32_t Node, Fn &&F) const {
+  /// Calls \p F(Child, ChildLo, ChildWidth) for every live child of
+  /// \p Node, in slot (ascending lo) order, where \p Lo is \p Node's
+  /// lo: the child ranges follow from it and the navigation word.
+  template <typename Fn>
+  void forEachLiveChild(uint32_t Node, uint64_t Lo, Fn &&F) const {
     uint64_t Nav = Navs[Node];
     if (navIsLeaf(Nav))
       return;
     uint32_t First = navFirstChild(Nav);
-    uint32_t End = First + (uint32_t(1) << navSlotLog2(Nav));
-    for (uint32_t Child = First; Child != End; ++Child)
-      if (!navIsDead(Navs[Child]))
-        F(Child);
+    unsigned Shift = navChildShift(Nav);
+    uint32_t NumSlots = uint32_t(1) << navSlotLog2(Nav);
+    for (uint32_t Slot = 0; Slot != NumSlots; ++Slot)
+      if (!navIsDead(Navs[First + Slot]))
+        F(First + Slot, Lo + (static_cast<uint64_t>(Slot) << Shift), Shift);
   }
 
-  /// Creates the root node (id 0) covering [0, 2^RangeBits).
-  void initRoot(unsigned RangeBits);
+  /// Calls \p F with the id of every live child of \p Node, in slot
+  /// order.
+  template <typename Fn> void forEachLiveChild(uint32_t Node, Fn &&F) const {
+    forEachLiveChild(Node, 0, [&](uint32_t Child, uint64_t, unsigned) {
+      F(Child);
+    });
+  }
+
+  /// Creates the root node (id 0). Its range, [0, 2^RangeBits), comes
+  /// from the tree's config: no slot stores a range.
+  void initRoot();
 
   /// Allocates a contiguous child block for \p Parent: 2^SlotLog2
   /// slots of width \p ChildBits, each initialized as a zero-count
@@ -214,28 +224,12 @@ struct NodeArena {
   /// Bytes reserved by the slab vectors (capacity, not size).
   uint64_t slabBytes() const;
 
-  /// hi() of \p Node (inclusive).
-  uint64_t hiOf(uint32_t Node) const {
-    unsigned Width = Widths[Node];
-    if (Width == 64)
-      return ~uint64_t(0);
-    return Los[Node] + ((uint64_t(1) << Width) - 1);
-  }
-
-  const RapNode *handle(uint32_t Node) const { return &Handles[Node]; }
-
 private:
   uint32_t allocBlock(unsigned SlotLog2);
   void freeDescendants(uint32_t Node) noexcept;
 };
 
 } // namespace detail
-
-inline uint64_t RapNode::lo() const { return Arena->Los[Index]; }
-
-inline uint64_t RapNode::hi() const { return Arena->hiOf(Index); }
-
-inline unsigned RapNode::widthBits() const { return Arena->Widths[Index]; }
 
 inline uint64_t RapNode::count() const { return Arena->Counts[Index]; }
 
@@ -250,13 +244,15 @@ inline unsigned RapNode::numChildSlots() const {
   return 1u << detail::NodeArena::navSlotLog2(Nav);
 }
 
-inline const RapNode *RapNode::child(unsigned Slot) const {
+inline std::optional<RapNode> RapNode::child(unsigned Slot) const {
   uint64_t Nav = Arena->Navs[Index];
   assert(Slot < numChildSlots() && "child slot out of range");
   uint32_t Child = detail::NodeArena::navFirstChild(Nav) + Slot;
   if (detail::NodeArena::navIsDead(Arena->Navs[Child]))
-    return nullptr; // Sub-range currently merged into this node.
-  return Arena->handle(Child);
+    return std::nullopt; // Sub-range currently merged into this node.
+  unsigned Shift = detail::NodeArena::navChildShift(Nav);
+  return RapNode(Arena, Child, Lo + (static_cast<uint64_t>(Slot) << Shift),
+                 Shift);
 }
 
 inline uint64_t RapNode::subtreeWeight() const {

@@ -9,9 +9,11 @@
 // detail::NodeArena; every routine below works on 32-bit node ids and
 // re-subscripts the vectors after any call that can allocate (vector
 // growth moves the slabs, so references must never be held across an
-// allocChildren). Handles in the deque are address-stable, which is
-// what keeps the const RapNode& API (root, findSmallestCover) valid
-// across growth.
+// allocChildren). No slab stores a node's range: every routine that
+// needs one derives it on the way down — the root is [0, 2^RangeBits),
+// a child's width is the shift in its parent's navigation word, and
+// its lo is the parent's lo plus its slot shifted by that width (or,
+// on a descent towards X, X with the low width bits cleared).
 //
 //===----------------------------------------------------------------------===//
 
@@ -38,14 +40,11 @@ static_assert(RapTree::BytesPerNode == 16,
 // NodeArena
 //===----------------------------------------------------------------------===//
 
-void NodeArena::initRoot(unsigned RangeBits) {
-  assert(Los.empty() && "root already created");
-  Los.push_back(0);
+void NodeArena::initRoot() {
+  assert(Navs.empty() && "root already created");
   Counts.push_back(0);
   Sums.push_back(0);
   Navs.push_back(LeafNav);
-  Widths.push_back(static_cast<uint8_t>(RangeBits));
-  Handles.push_back(RapNode(this, 0));
 }
 
 uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
@@ -59,26 +58,18 @@ uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
   size_t NumSlots = size_t(1) << SlotLog2;
   size_t Old = Navs.size();
   assert(Old + NumSlots < InvalidIndex && "arena exceeds 32-bit node ids");
-  // Grow all five slabs plus the handle pool under a rollback guard:
-  // if any later growth throws, the earlier ones shrink back so the
-  // arena never exposes a half-grown slot range (shrinking never
-  // throws for these element types).
+  // Grow all three slabs under a rollback guard: if any later growth
+  // throws, the earlier ones shrink back so the arena never exposes a
+  // half-grown slot range (shrinking never throws for these element
+  // types).
   try {
-    Los.resize(Old + NumSlots);
     Counts.resize(Old + NumSlots);
     Sums.resize(Old + NumSlots);
     Navs.resize(Old + NumSlots);
-    Widths.resize(Old + NumSlots);
-    for (size_t I = Old; I != Old + NumSlots; ++I)
-      Handles.push_back(RapNode(this, static_cast<uint32_t>(I)));
   } catch (...) {
-    Los.resize(Old);
     Counts.resize(Old);
     Sums.resize(Old);
     Navs.resize(Old);
-    Widths.resize(Old);
-    while (Handles.size() > Old)
-      Handles.pop_back();
     throw;
   }
   return static_cast<uint32_t>(Old);
@@ -88,16 +79,12 @@ uint32_t NodeArena::allocChildren(uint32_t Parent, unsigned ChildBits,
                                   unsigned SlotLog2, bool Dead) {
   uint32_t First = allocBlock(SlotLog2);
   // Subscript only after the allocation above: the slabs may have moved.
-  uint64_t ParentLo = Los[Parent];
   uint64_t InitNav = Dead ? DeadLeafNav : LeafNav;
   size_t NumSlots = size_t(1) << SlotLog2;
-  for (size_t Slot = 0; Slot != NumSlots; ++Slot) {
-    size_t Child = First + Slot;
-    Los[Child] = ParentLo + (static_cast<uint64_t>(Slot) << ChildBits);
+  for (size_t Child = First; Child != First + NumSlots; ++Child) {
     Counts[Child] = 0;
     Sums[Child] = 0;
     Navs[Child] = InitNav;
-    Widths[Child] = static_cast<uint8_t>(ChildBits);
   }
   Navs[Parent] = makeNav(First, ChildBits, SlotLog2);
   return First;
@@ -158,7 +145,7 @@ uint64_t NodeArena::slabBytes() const {
     return ((static_cast<uint64_t>(Slab.capacity()) * sizeof(Slab[0])) +
             ...);
   };
-  return Bytes(Los, Counts, Sums, Navs, Widths);
+  return Bytes(Counts, Sums, Navs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -172,7 +159,7 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
   std::string Error;
   if (!Config.validate(&Error))
     throw std::invalid_argument("RapTree: invalid config: " + Error);
-  Arena.initRoot(Config.RangeBits);
+  Arena.initRoot();
   NextMergeAt = Config.InitialMergeInterval;
   AdmissionRngState = Config.AdmissionSeed;
   Pressure.NodeBudget = Config.effectiveNodeBudget();
@@ -195,15 +182,18 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
   }
 }
 
-uint64_t RapTree::rebuildFenceWalk(uint32_t Node) {
+uint64_t RapTree::rebuildFenceWalk(uint32_t Node, uint64_t Lo,
+                                   unsigned Width) {
   uint64_t Warm = 0;
   if (Arena.Counts[Node] > 0) {
     Warm = 1;
     if (Node != 0 && Fence.enabled())
-      Fence.markNode(Arena.Los[Node], Arena.Widths[Node]);
+      Fence.markNode(Lo, Width);
   }
   Arena.forEachLiveChild(
-      Node, [&](uint32_t Child) { Warm += rebuildFenceWalk(Child); });
+      Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
+        Warm += rebuildFenceWalk(Child, ChildLo, ChildWidth);
+      });
   return Warm;
 }
 
@@ -217,7 +207,7 @@ void RapTree::rebuildFence() {
   // paths that already walk the whole tree.
   if (Fence.enabled())
     Fence.clear();
-  WarmNodes = rebuildFenceWalk(0);
+  WarmNodes = rebuildFenceWalk(0, 0, Config.RangeBits);
 }
 
 std::unique_ptr<RapTree> RapTree::fromNodeSet(
@@ -243,8 +233,14 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
   unsigned BitsPerLevel = Config.bitsPerLevel();
 
   // Preorder insertion: a maintained stack of the current ancestor
-  // path places each node under its deepest enclosing predecessor.
-  std::vector<uint32_t> Path = {0};
+  // path, each entry with its range, places each node under its
+  // deepest enclosing predecessor.
+  struct PathEntry {
+    uint32_t Node;
+    uint64_t Lo;
+    unsigned Width;
+  };
+  std::vector<PathEntry> Path = {{0, 0, Config.RangeBits}};
   for (size_t I = 1; I < Nodes.size(); ++I) {
     auto [Lo, WidthBits, Count] = Nodes[I];
     if (WidthBits >= Config.RangeBits)
@@ -254,12 +250,12 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
       return Fail("node range not aligned to its width");
     uint64_t Hi = Lo + Width - 1;
     while (!Path.empty() &&
-           !(Arena.Los[Path.back()] <= Lo && Hi <= Arena.hiOf(Path.back())))
+           !(Path.back().Lo <= Lo &&
+             Hi <= Path.back().Lo + lowBitMask(Path.back().Width)))
       Path.pop_back();
     if (Path.empty())
       return Fail("node not contained in any predecessor (not preorder)");
-    uint32_t Parent = Path.back();
-    unsigned ParentWidth = Arena.Widths[Parent];
+    auto [Parent, ParentLo, ParentWidth] = Path.back();
     unsigned ExpectedChildBits =
         ParentWidth > BitsPerLevel ? ParentWidth - BitsPerLevel : 0;
     if (WidthBits != ExpectedChildBits)
@@ -271,14 +267,14 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
                                   ParentWidth - ExpectedChildBits,
                                   /*Dead=*/true)
             : NodeArena::navFirstChild(ParentNav);
-    unsigned Slot = static_cast<unsigned>((Lo - Arena.Los[Parent]) >>
-                                          ExpectedChildBits);
+    unsigned Slot =
+        static_cast<unsigned>((Lo - ParentLo) >> ExpectedChildBits);
     uint32_t Child = First + Slot;
     if (!NodeArena::navIsDead(Arena.Navs[Child]))
       return Fail("duplicate node range");
     Arena.Navs[Child] = NodeArena::LeafNav;
     Arena.Counts[Child] = Count;
-    Path.push_back(Child);
+    Path.push_back({Child, Lo, WidthBits});
     ++Tree->NumNodes;
   }
   // Counters were written directly: derive the subtree-sum column
@@ -337,13 +333,22 @@ static uint32_t descend(const NodeArena &Arena, uint32_t Node, uint64_t X,
   return Node;
 }
 
-uint32_t RapTree::descendIndex(uint64_t X) const {
-  unsigned Width = Config.RangeBits;
+uint32_t RapTree::descendIndex(uint64_t X, unsigned &Width) const {
+  Width = Config.RangeBits;
   return descend(Arena, 0, X, Width, [](uint32_t) {});
 }
 
-const RapNode &RapTree::findSmallestCover(uint64_t X) const {
-  return *Arena.handle(descendIndex(X));
+uint64_t RapTree::coverLo(uint64_t X, unsigned Width) const {
+  // The universe mask keeps a key past the universe (which NDEBUG
+  // builds let through) from leaking its high bits into the range of
+  // the in-universe node its descent landed on.
+  return X & lowBitMask(Config.RangeBits) & ~lowBitMask(Width);
+}
+
+RapNode RapTree::findSmallestCover(uint64_t X) const {
+  unsigned Width;
+  uint32_t Node = descendIndex(X, Width);
+  return RapNode(&Arena, Node, coverLo(X, Width), Width);
 }
 
 void RapTree::addPoint(uint64_t X, uint64_t Weight) {
@@ -364,7 +369,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   // their subtree sums as independent stores, with no navigation
   // load; the descent resumes at Finger[Depth] and records the levels
   // it walks, adding the weight on each. The landing width comes from
-  // the descent, so the split check below never loads Widths.
+  // the descent (no slab stores it), and so does the landing range.
   uint64_t *Sums = Arena.Sums.data();
   unsigned Depth = std::min<unsigned>(
       FingerDepth[std::bit_width(X ^ FingerKey)], FingerLast);
@@ -397,7 +402,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   if (OldCount == 0) {
     ++WarmNodes;
     if (Node != 0 && Fence.enabled())
-      Fence.markNode(Arena.Los[Node], Width);
+      Fence.markNode(coverLo(X, Width), Width);
   }
 
   // Split check (Sec 2.2): a counter that outgrew the threshold sprouts
@@ -410,7 +415,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   if (Width != 0 &&
       static_cast<double>(NewCount) > Config.splitThreshold(NumEvents) &&
       (!Config.EnableAdmission || admitSplit(NewCount, Weight)))
-    trySplit(Node, X, Weight);
+    trySplit(Node, Width, X, Weight);
 
   // Batched merges at exponentially growing intervals (Sec 3.1, Fig 3).
   if (Config.EnableMerges && NumEvents >= NextMergeAt) {
@@ -449,11 +454,10 @@ bool RapTree::admitSplit(uint64_t NewCount, uint64_t Weight) {
   return false;
 }
 
-uint64_t RapTree::splitAllocCount(uint32_t Node) const {
+uint64_t RapTree::splitAllocCount(uint32_t Node, unsigned MyWidth) const {
   // Nodes a split of \p Node would add: a whole fresh child block, or
   // only the dead slots a revive would resurrect.
   unsigned BitsPerLevel = Config.bitsPerLevel();
-  unsigned MyWidth = Arena.Widths[Node];
   unsigned ChildBits = MyWidth > BitsPerLevel ? MyWidth - BitsPerLevel : 0;
   unsigned SlotLog2 = MyWidth - ChildBits;
   uint64_t Nav = Arena.Navs[Node];
@@ -494,7 +498,8 @@ uint64_t RapTree::forcedMergePass() {
   return Removed;
 }
 
-void RapTree::trySplit(uint32_t Node, uint64_t X, uint64_t Weight) {
+void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
+                       uint64_t Weight) {
   uint64_t Budget = Pressure.NodeBudget;
   bool Charged = false;
   if (Budget != 0) {
@@ -512,17 +517,17 @@ void RapTree::trySplit(uint32_t Node, uint64_t X, uint64_t Weight) {
       Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
       Charged = true;
     }
-    uint64_t Need = splitAllocCount(Node);
+    uint64_t Need = splitAllocCount(Node, Width);
     if (NumNodes + Need > Budget) {
       ++Pressure.BudgetHits;
       // Reclaim instead of allocating: one forced coarsening pass,
       // then re-descend (the pass may have folded the landing node
       // into an ancestor) and re-evaluate there.
       forcedMergePass();
-      Node = descendIndex(X);
-      Need = splitAllocCount(Node);
+      Node = descendIndex(X, Width);
+      Need = splitAllocCount(Node, Width);
       bool StillWants =
-          Arena.Widths[Node] != 0 &&
+          Width != 0 &&
           static_cast<double>(Arena.Counts[Node]) >
               Config.splitThreshold(NumEvents);
       if (!StillWants || NumNodes + Need > Budget) {
@@ -539,7 +544,7 @@ void RapTree::trySplit(uint32_t Node, uint64_t X, uint64_t Weight) {
     }
   }
   try {
-    splitNode(Node);
+    splitNode(Node, Width);
   } catch (const std::bad_alloc &) {
     // allocBlock rolled the arena back, so refusing the split leaves
     // the tree exactly as consistent as a budget refusal does.
@@ -570,10 +575,9 @@ void RapTree::enforceNodeBudget() {
   }
 }
 
-void RapTree::splitNode(uint32_t Node) {
-  assert(Arena.Widths[Node] != 0 && "cannot split a unit range");
+void RapTree::splitNode(uint32_t Node, unsigned MyWidth) {
+  assert(MyWidth != 0 && "cannot split a unit range");
   unsigned BitsPerLevel = Config.bitsPerLevel();
-  unsigned MyWidth = Arena.Widths[Node];
   unsigned ChildBits = MyWidth > BitsPerLevel ? MyWidth - BitsPerLevel : 0;
   unsigned SlotLog2 = MyWidth - ChildBits;
   uint64_t Nav = Arena.Navs[Node];
@@ -654,8 +658,9 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
   Arena.Sums[Mine] = saturatingAdd(Arena.Sums[Mine], Theirs.subtreeWeight());
   if (!Theirs.hasChildren())
     return;
+  // Both trees share the geometry, so Mine has Theirs' width.
   unsigned BitsPerLevel = Config.bitsPerLevel();
-  unsigned MyWidth = Arena.Widths[Mine];
+  unsigned MyWidth = Theirs.widthBits();
   unsigned ChildBits = MyWidth > BitsPerLevel ? MyWidth - BitsPerLevel : 0;
   unsigned SlotLog2 = MyWidth - ChildBits;
   uint64_t Nav = Arena.Navs[Mine];
@@ -665,7 +670,7 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
           : NodeArena::navFirstChild(Nav);
   unsigned NumSlots = 1u << SlotLog2;
   for (unsigned Slot = 0; Slot != NumSlots; ++Slot) {
-    const RapNode *TheirChild = Theirs.child(Slot);
+    std::optional<RapNode> TheirChild = Theirs.child(Slot);
     if (!TheirChild)
       continue;
     uint32_t Child = First + Slot;
@@ -727,11 +732,7 @@ void RapTree::scheduleAfterMerge() {
   NextMergeAt = std::max<uint64_t>(saturatingAdd(NumEvents, 1), NextInt);
 }
 
-uint64_t RapTree::arenaBytes() const {
-  uint64_t HandleBytes =
-      static_cast<uint64_t>(Arena.Handles.size()) * sizeof(RapNode);
-  return Arena.slabBytes() + HandleBytes;
-}
+uint64_t RapTree::arenaBytes() const { return Arena.slabBytes(); }
 
 void RapTree::straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
                            uint64_t Lo, uint64_t Hi,
@@ -773,7 +774,7 @@ bool RapTree::rangeProvablyCold(uint64_t Lo, uint64_t Hi) const {
   // A query covering the whole universe contains the root, whose own
   // counter contributes even though the fence never tracks it; only
   // an empty stream makes that query cold.
-  if (Lo == 0 && Hi >= Arena.hiOf(0))
+  if (Lo == 0 && Hi >= lowBitMask(Config.RangeBits))
     return NumEvents == 0;
   return Fence.provablyCold(Lo, Hi);
 }
@@ -789,7 +790,7 @@ RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
                                                   uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
   RangeBounds Bounds;
-  uint64_t RootHi = Arena.hiOf(0);
+  uint64_t RootHi = lowBitMask(Config.RangeBits);
   if (Lo > RootHi)
     return Bounds;
   if (Lo == 0 && Hi >= RootHi) {
@@ -800,7 +801,8 @@ RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
   return Bounds;
 }
 
-uint64_t RapTree::hotWalk(uint32_t Node, unsigned Depth, double Threshold,
+uint64_t RapTree::hotWalk(uint32_t Node, uint64_t Lo, unsigned Width,
+                          unsigned Depth, double Threshold,
                           std::vector<HotRange> &Out) const {
   // No node of a subtree lighter than the threshold can be hot (a
   // node's exclusive weight never exceeds its subtree weight), and
@@ -809,16 +811,18 @@ uint64_t RapTree::hotWalk(uint32_t Node, unsigned Depth, double Threshold,
   if (static_cast<double>(Subtree) < Threshold)
     return Subtree;
   uint64_t Exclusive = Arena.Counts[Node];
-  Arena.forEachLiveChild(Node, [&](uint32_t Child) {
-    Exclusive =
-        saturatingAdd(Exclusive, hotWalk(Child, Depth + 1, Threshold, Out));
-  });
+  Arena.forEachLiveChild(
+      Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
+        Exclusive = saturatingAdd(
+            Exclusive,
+            hotWalk(Child, ChildLo, ChildWidth, Depth + 1, Threshold, Out));
+      });
   if (!(static_cast<double>(Exclusive) >= Threshold))
     return Exclusive;
   HotRange H;
-  H.Lo = Arena.Los[Node];
-  H.Hi = Arena.hiOf(Node);
-  H.WidthBits = Arena.Widths[Node];
+  H.Lo = Lo;
+  H.Hi = Lo + lowBitMask(Width);
+  H.WidthBits = Width;
   H.Depth = Depth;
   H.ExclusiveWeight = Exclusive;
   H.SubtreeWeight = Subtree;
@@ -830,7 +834,7 @@ std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
   assert(Phi > 0.0 && Phi <= 1.0 && "hotness fraction out of range");
   std::vector<HotRange> Out;
   double Threshold = Phi * static_cast<double>(NumEvents);
-  hotWalk(0, 0, Threshold, Out);
+  hotWalk(0, 0, Config.RangeBits, 0, Threshold, Out);
   // The walk emits post-order. Node ranges are aligned and either
   // nested or disjoint, so preorder is (Lo ascending, wider first).
   std::sort(Out.begin(), Out.end(), [](const HotRange &A, const HotRange &B) {
@@ -841,12 +845,13 @@ std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
   return Out;
 }
 
-void RapTree::topKWalk(uint32_t Node, unsigned Depth, uint64_t AncestorOwn,
+void RapTree::topKWalk(uint32_t Node, uint64_t Lo, unsigned Width,
+                       unsigned Depth, uint64_t AncestorOwn,
                        std::vector<TopKRange> &Out) const {
   TopKRange R;
-  R.Lo = Arena.Los[Node];
-  R.Hi = Arena.hiOf(Node);
-  R.WidthBits = Arena.Widths[Node];
+  R.Lo = Lo;
+  R.Hi = Lo + lowBitMask(Width);
+  R.WidthBits = Width;
   R.Depth = Depth;
   R.Retained = Arena.Counts[Node];
   // Subtree weight is exactly estimateRange(Lo, Hi) for a node-aligned
@@ -857,9 +862,10 @@ void RapTree::topKWalk(uint32_t Node, unsigned Depth, uint64_t AncestorOwn,
   R.UpperWeight = saturatingAdd(R.LowerWeight, AncestorOwn);
   Out.push_back(R);
   uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, R.Retained);
-  Arena.forEachLiveChild(Node, [&](uint32_t Child) {
-    topKWalk(Child, Depth + 1, ChildAncestorOwn, Out);
-  });
+  Arena.forEachLiveChild(
+      Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
+        topKWalk(Child, ChildLo, ChildWidth, Depth + 1, ChildAncestorOwn, Out);
+      });
 }
 
 std::vector<TopKRange> RapTree::topK(size_t K) const {
@@ -867,7 +873,7 @@ std::vector<TopKRange> RapTree::topK(size_t K) const {
   if (K == 0)
     return Out;
   Out.reserve(NumNodes);
-  topKWalk(0, 0, 0, Out);
+  topKWalk(0, 0, Config.RangeBits, 0, 0, Out);
   // Strict total order (node ranges are unique, so (Lo, WidthBits)
   // breaks every Retained tie): the k-nesting property topK(k) ⊆
   // topK(k+m) falls out of prefix-of-a-fixed-order.
@@ -914,7 +920,7 @@ static void dumpWalk(std::ostream &OS, const RapNode &Node, unsigned Depth,
                      uint64_t NumEvents) {
   dumpNode(OS, Node, Depth, NumEvents);
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       dumpWalk(OS, *Child, Depth + 1, NumEvents);
 }
 

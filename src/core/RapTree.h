@@ -168,10 +168,10 @@ public:
   /// (Sec 4.2), i.e. bytes = 16 * numNodes().
   uint64_t memoryBytes() const { return NumNodes * BytesPerNode; }
 
-  /// Actual bytes of arena storage backing the tree (all slab vectors
-  /// plus the handle pool), including slots on free lists. The
-  /// software implementation's real footprint, as opposed to the
-  /// paper's 128-bit hardware budget of memoryBytes().
+  /// Actual bytes of arena storage backing the tree (the reserved
+  /// capacity of its three slab vectors), including slots on free
+  /// lists. The software implementation's real footprint, as opposed
+  /// to the paper's 128-bit hardware budget of memoryBytes().
   uint64_t arenaBytes() const;
 
   /// Number of split operations performed.
@@ -217,10 +217,12 @@ public:
   }
 
   /// Root node (covers the entire universe).
-  const RapNode &root() const { return Arena.Handles.front(); }
+  RapNode root() const { return RapNode(&Arena, 0, 0, Config.RangeBits); }
 
-  /// The smallest existing node covering \p X (never null).
-  const RapNode &findSmallestCover(uint64_t X) const;
+  /// The smallest existing node covering \p X. A key past the universe
+  /// (let through by NDEBUG builds) lands as its in-universe low bits
+  /// do, and the returned range stays inside the universe.
+  RapNode findSmallestCover(uint64_t X) const;
 
   /// Lower-bound estimate of the number of events in [Lo, Hi]
   /// (inclusive). Exact node-aligned queries return the subtree
@@ -329,25 +331,26 @@ public:
   static constexpr uint64_t BytesPerNode = 16;
 
 private:
-  uint32_t descendIndex(uint64_t X) const;
+  uint32_t descendIndex(uint64_t X, unsigned &Width) const;
+  uint64_t coverLo(uint64_t X, unsigned Width) const;
   bool admitSplit(uint64_t NewCount, uint64_t Weight);
-  void trySplit(uint32_t Node, uint64_t X, uint64_t Weight);
-  void splitNode(uint32_t Node);
-  uint64_t splitAllocCount(uint32_t Node) const;
+  void trySplit(uint32_t Node, unsigned Width, uint64_t X, uint64_t Weight);
+  void splitNode(uint32_t Node, unsigned Width);
+  uint64_t splitAllocCount(uint32_t Node, unsigned Width) const;
   uint64_t forcedMergePass();
   void enforceNodeBudget();
   uint64_t mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
                      uint64_t *FoldedWeight = nullptr);
   void unionWith(uint32_t Mine, const RapNode &Theirs);
-  uint64_t hotWalk(uint32_t Node, unsigned Depth, double Threshold,
-                   std::vector<HotRange> &Out) const;
-  void topKWalk(uint32_t Node, unsigned Depth, uint64_t AncestorOwn,
-                std::vector<TopKRange> &Out) const;
+  uint64_t hotWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
+                   double Threshold, std::vector<HotRange> &Out) const;
+  void topKWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
+                uint64_t AncestorOwn, std::vector<TopKRange> &Out) const;
   void straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
                     uint64_t Lo, uint64_t Hi, RangeBounds &Bounds) const;
   void scheduleAfterMerge();
   void rebuildFence();
-  uint64_t rebuildFenceWalk(uint32_t Node);
+  uint64_t rebuildFenceWalk(uint32_t Node, uint64_t Lo, unsigned Width);
 
   RapConfig Config;
   detail::NodeArena Arena;

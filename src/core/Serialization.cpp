@@ -124,7 +124,7 @@ void collectPreorder(const RapNode &Node,
   Entry.Count = Node.count();
   Out.push_back(Entry);
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectPreorder(*Child, Out);
 }
 

@@ -101,8 +101,8 @@ const std::vector<std::pair<uint64_t, uint64_t>> &StageZeroBuffer::drain() {
         Scratch.emplace_back(S.Key, S.Val);
   }
   // Ascending event order: deterministic regardless of arrival order
-  // and hash layout, matching hw/EventBuffer::drain(). The sort may
-  // allocate, so it too runs before the table is cleared.
+  // and hash layout. The sort may allocate, so it too runs before the
+  // table is cleared.
   sortPairsByEvent(Scratch, RadixTmp);
   if (Capacity != 0)
     for (Slot &S : Table)

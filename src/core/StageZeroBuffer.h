@@ -6,23 +6,23 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Software port of the pipelined engine's stage-0 event buffer
-/// (hw/EventBuffer, paper Fig 4 / Sec 3.3): duplicate events are
-/// coalesced into (event, weight) pairs before the tree descent, so a
-/// skewed stream costs one descend per *distinct* value per window
-/// instead of one per event.
+/// The stage-0 event buffer of the pipelined engine (paper Fig 4 /
+/// Sec 3.3): duplicate events are coalesced into (event, weight) pairs
+/// before the tree descent, so a skewed stream costs one descend per
+/// *distinct* value per window instead of one per event. The software
+/// update path (RapProfiler) and the hardware model
+/// (hw/PipelinedEngine) share it.
 ///
-/// Unlike the hardware model, which is free to use std::unordered_map,
-/// this sits on the software hot path: one flat power-of-two
+/// It sits on the software hot path: one flat power-of-two
 /// open-addressing array of (key, weight) slots — multiplicative
 /// hashing, linear probing, a zero weight marking an empty slot (a
 /// live slot's weight is never zero: zero-weight pushes are rejected
 /// and saturation clamps at 2^64-1, not 0) — so the common push
 /// touches a single cache line and inlines into the caller's loop.
-/// Draining returns the pairs in ascending event order — the same
-/// insertion-independent deterministic order as hw/EventBuffer::drain(),
-/// which is what makes combined runs reproducible, oracle-checkable,
-/// and cheap downstream: consecutive sorted pairs share long key
+/// Draining returns the pairs in ascending event order — an
+/// insertion-independent deterministic order, which is what makes
+/// combined runs reproducible, oracle-checkable, and cheap
+/// downstream: consecutive sorted pairs share long key
 /// prefixes, and RapTree::addPoint resumes each descent where the
 /// previous one's path still covers the key, so a delivered pair
 /// costs O(depth - shared prefix with the previous pair) rather than
@@ -46,7 +46,7 @@ class StageZeroBuffer {
 public:
   /// Creates a buffer combining up to \p MaxDistinct distinct events
   /// per window (capacity 0 disables combining: every push drains
-  /// immediately, mirroring hw/EventBuffer).
+  /// immediately).
   explicit StageZeroBuffer(uint64_t MaxDistinct);
 
   /// Adds \p W occurrences of \p Event. Returns true if the buffer is

@@ -22,7 +22,7 @@
 #define RAP_HW_PIPELINEDENGINE_H
 
 #include "core/RapConfig.h"
-#include "hw/EventBuffer.h"
+#include "core/StageZeroBuffer.h"
 #include "hw/Tcam.h"
 
 #include <cstdint>
@@ -75,7 +75,7 @@ public:
   const Tcam &tcam() const { return Array; }
 
   /// The stage-0 buffer (for combining statistics).
-  const EventBuffer &buffer() const { return Buffer; }
+  const StageZeroBuffer &buffer() const { return Buffer; }
 
   // Cycle accounting --------------------------------------------------
   uint64_t updateCycles() const { return UpdateCycles; }
@@ -112,7 +112,7 @@ private:
 
   EngineConfig Config;
   Tcam Array;
-  EventBuffer Buffer;
+  StageZeroBuffer Buffer;
   uint64_t NumEvents = 0;
   uint64_t NextMergeAt;
   uint64_t UpdateCycles = 0;

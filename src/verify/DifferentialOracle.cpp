@@ -344,7 +344,7 @@ static void collectArena(const RapNode &Node,
   Out.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
                    Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectArena(*Child, Out);
 }
 

@@ -95,7 +95,7 @@ void collectNodes(const RapNode &Node,
                   std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> &Out) {
   Out.emplace_back(Node.lo(), Node.hi(), Node.subtreeWeight());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectNodes(*Child, Out);
 }
 
@@ -111,8 +111,9 @@ TEST_P(AdmissionAccuracy, ConservationAndAccountingSurviveDenials) {
   EXPECT_EQ(Tree.estimateRange(0, Mask), NumEvents);
   // Deferred weight exists only alongside denials, and with unit
   // weights each denial defers at most one unit.
-  if (Tree.admissionDeferredWeight() != 0)
+  if (Tree.admissionDeferredWeight() != 0) {
     EXPECT_GT(Tree.numAdmissionDeniedSplits(), 0u);
+  }
   EXPECT_LE(Tree.admissionDeferredWeight(),
             Tree.numAdmissionDeniedSplits());
   // The structural audit holds on the gated tree.
@@ -168,8 +169,9 @@ TEST_P(AdmissionAccuracy, TopKOrderedNestedAndBracketed) {
   std::vector<TopKRange> More = Tree.topK(10);
   ASSERT_LE(Top.size(), More.size());
   for (size_t I = 0; I != Top.size(); ++I) {
-    if (I > 0)
+    if (I > 0) {
       EXPECT_GE(Top[I - 1].Retained, Top[I].Retained) << "not score-ordered";
+    }
     // k-nesting: topK(6) is a field-for-field prefix of topK(10).
     EXPECT_EQ(Top[I].Lo, More[I].Lo);
     EXPECT_EQ(Top[I].WidthBits, More[I].WidthBits);
@@ -349,8 +351,9 @@ TEST(AdmissionEdges, SaturatingWeightsStayCoherent) {
   EXPECT_EQ(Tree.root().subtreeWeight(), ~uint64_t(0));
   // Deferred weight saturates rather than wrapping past denials.
   EXPECT_LE(Tree.admissionDeferredWeight(), ~uint64_t(0));
-  if (Tree.numAdmissionDeniedSplits() == 0)
+  if (Tree.numAdmissionDeniedSplits() == 0) {
     EXPECT_EQ(Tree.admissionDeferredWeight(), 0u);
+  }
   std::vector<TopKRange> Top = Tree.topK(2);
   ASSERT_FALSE(Top.empty());
   EXPECT_GE(Top[0].UpperWeight, Top[0].LowerWeight);

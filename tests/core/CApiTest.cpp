@@ -311,8 +311,9 @@ TEST(CApi, TopKReturnsOrderedBracketedRanges) {
   ASSERT_LE(Count, 8);
   bool HotCovered = false;
   for (int64_t I = 0; I != Count; ++I) {
-    if (I > 0)
+    if (I > 0) {
       EXPECT_GE(Ranges[I - 1].retained, Ranges[I].retained);
+    }
     EXPECT_LE(Ranges[I].lo, Ranges[I].hi);
     EXPECT_LE(Ranges[I].lower_weight, Ranges[I].upper_weight);
     HotCovered = HotCovered || (Ranges[I].lo <= 42 && 42 <= Ranges[I].hi);

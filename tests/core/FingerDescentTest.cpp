@@ -56,7 +56,7 @@ void collectPreorder(const RapNode &Node, std::vector<NodeTriple> &Out) {
   Out.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
                    Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectPreorder(*Child, Out);
 }
 
@@ -107,7 +107,7 @@ void expectCleanAudit(const RapTree &Tree, const std::string &Context) {
 /// counter must be the one that took the weight.
 void addChecked(RapTree &Tree, uint64_t X, uint64_t Weight,
                 const std::string &Context) {
-  const RapNode &Cover = Tree.findSmallestCover(X);
+  RapNode Cover = Tree.findSmallestCover(X);
   uint64_t Before = Cover.count();
   uint64_t Passes = Tree.numMergePasses();
   uint64_t Forced = Tree.forcedMergePasses();
@@ -220,18 +220,18 @@ TEST(FingerDescent, GccMortonEdgeKeysMatchReference) {
   expectSameTree(Edges.tree(), Ref, "end");
 }
 
-/// The deepest-first live node with a dead child slot, or null.
-const RapNode *nodeWithDeadSlot(const RapNode &Node, unsigned &Slot) {
+/// The deepest-first live node with a dead child slot, or nullopt.
+std::optional<RapNode> nodeWithDeadSlot(const RapNode &Node, unsigned &Slot) {
   for (unsigned S = 0; S != Node.numChildSlots(); ++S)
-    if (const RapNode *Child = Node.child(S))
-      if (const RapNode *Found = nodeWithDeadSlot(*Child, Slot))
+    if (std::optional<RapNode> Child = Node.child(S))
+      if (std::optional<RapNode> Found = nodeWithDeadSlot(*Child, Slot))
         return Found;
   for (unsigned S = 0; S != Node.numChildSlots(); ++S)
     if (!Node.child(S)) {
       Slot = S;
-      return &Node;
+      return Node;
     }
-  return nullptr;
+  return std::nullopt;
 }
 
 TEST(FingerDescent, LandingNodeSplitsAndRevivesMidRun) {
@@ -252,8 +252,8 @@ TEST(FingerDescent, LandingNodeSplitsAndRevivesMidRun) {
   T.Ref.mergeNow();
   T.check("after merge");
   unsigned Slot = 0;
-  const RapNode *Parent = nodeWithDeadSlot(T.Tree.root(), Slot);
-  ASSERT_NE(Parent, nullptr);
+  std::optional<RapNode> Parent = nodeWithDeadSlot(T.Tree.root(), Slot);
+  ASSERT_TRUE(Parent.has_value());
   // At least MinResumeDepth (4) levels down, so updates resume there.
   ASSERT_LE(Parent->widthBits(), 8u);
   unsigned ChildBits = Parent->widthBits() > 2 ? Parent->widthBits() - 2 : 0;
@@ -264,7 +264,7 @@ TEST(FingerDescent, LandingNodeSplitsAndRevivesMidRun) {
   for (int I = 0; I != 2000 && !Revived; ++I) {
     T.add(Key);
     T.check("revive " + std::to_string(I));
-    Revived = Parent->child(Slot) != nullptr;
+    Revived = Parent->child(Slot).has_value();
   }
   ASSERT_TRUE(Revived);
   for (int I = 0; I != 50; ++I) {
@@ -498,6 +498,47 @@ TEST(FingerDescent, OutOfUniverseKeysStayInBounds) {
   }
   EXPECT_EQ(Md.numEvents(), 18000u);
   expectCleanAudit(Md.tree(), "2-D");
+
+  // A key past the universe lands where its low bits do, and both the
+  // reported cover and the fence mark stay inside the universe: with
+  // the lower half fed in-universe keys and the upper half only keys
+  // carrying high bits, the fenced tree answers every probe exactly as
+  // its fence-off twin, which walks the tree for each one. No merge
+  // pass rebuilds the fence from the tree, so every mark is the one
+  // the update made.
+  constexpr unsigned Bits = 20;
+  const uint64_t Universe = lowBitMask(Bits);
+  RapConfig FenceOn = config(Bits, 4, 0.02);
+  FenceOn.EnableMerges = false;
+  RapConfig FenceOff = FenceOn;
+  FenceOff.EnableRangeFence = false;
+  RapTree Fenced(FenceOn), Open(FenceOff);
+  Rng S(20);
+  std::vector<uint64_t> Fed;
+  for (int I = 0; I != 20000; ++I) {
+    uint64_t Low = S.nextBelow(3) == 0 ? S.nextBelow(1 << (Bits - 1))
+                                       : S.nextBelow(32) << 9;
+    uint64_t X = I % 2 == 0 ? Low
+                            : Low | (uint64_t(1) << (Bits - 1)) |
+                                  (S.next() << Bits) | (uint64_t(1) << 63);
+    Fenced.addPoint(X);
+    Open.addPoint(X);
+    Fed.push_back(X);
+    RapNode Cover = Fenced.findSmallestCover(X);
+    ASSERT_LE(Cover.lo(), Cover.hi()) << std::hex << X;
+    ASSERT_LE(Cover.hi(), Universe) << std::hex << X;
+    ASSERT_TRUE(Cover.contains(X & Universe)) << std::hex << X;
+  }
+  ASSERT_EQ(preorder(Fenced), preorder(Open));
+  expectCleanAudit(Fenced, "fenced");
+  for (int Q = 0; Q != 20000; ++Q) {
+    uint64_t Lo = Q % 2 == 0 ? Fed[S.nextBelow(Fed.size())] & Universe
+                             : S.next() & Universe;
+    unsigned Width = static_cast<unsigned>(S.nextBelow(Bits + 1));
+    uint64_t Hi = std::min(Universe, Lo + lowBitMask(Width));
+    ASSERT_EQ(Fenced.estimateRange(Lo, Hi), Open.estimateRange(Lo, Hi))
+        << std::hex << "[" << Lo << ", " << Hi << "]";
+  }
 #endif
 }
 

@@ -105,7 +105,7 @@ void collectBoxes(
   MdSquare S = MdRapTree::square(Node.lo(), Node.widthBits());
   Out.emplace_back(S.XLo, S.XHi, S.YLo, S.YHi, Node.subtreeWeight());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectBoxes(*Child, Out);
 }
 
@@ -116,7 +116,7 @@ void collectTriples(const RapNode &Node,
   Out.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
                    Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectTriples(*Child, Out);
 }
 
@@ -137,7 +137,7 @@ void digestNodes(const RapNode &Node, Fnv64 &F, uint64_t &Count) {
     F.add(Word);
   ++Count;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       digestNodes(*Child, F, Count);
 }
 

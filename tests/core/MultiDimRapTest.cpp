@@ -65,7 +65,7 @@ TEST(MdRapTree, HotTupleDrillsToUnitCell) {
   MdRapTree Tree(smallConfig());
   for (int I = 0; I != 64; ++I)
     Tree.addPoint(12, 200);
-  const RapNode &Cell =
+  RapNode Cell =
       Tree.tree().findSmallestCover(MdRapTree::key(12, 200));
   MdSquare S = squareOf(Cell);
   EXPECT_EQ(S.XLo, 12u);
@@ -77,11 +77,11 @@ TEST(MdRapTree, HotTupleDrillsToUnitCell) {
 TEST(MdRapTree, QuadrantGeometry) {
   MdRapTree Tree(smallConfig(1.0));
   Tree.addPoint(0, 0); // root splits immediately
-  const RapNode &Root = Tree.tree().root();
+  RapNode Root = Tree.tree().root();
   ASSERT_TRUE(Root.hasChildren());
   ASSERT_EQ(Root.numChildSlots(), 4u);
-  const RapNode *Q[4] = {Root.child(0), Root.child(1), Root.child(2),
-                         Root.child(3)};
+  std::optional<RapNode> Q[4] = {Root.child(0), Root.child(1),
+                                 Root.child(2), Root.child(3)};
   ASSERT_TRUE(Q[0] && Q[1] && Q[2] && Q[3]);
   // Slot (ybit << 1) | xbit: low-x low-y, high-x low-y, low-x high-y,
   // high-x high-y.

@@ -102,7 +102,7 @@ TEST(RapTreeAbsorb, HotInBothShardsStaysPrecise) {
   }
   A.absorb(B);
   // The unit node exists in both shards; the union keeps it.
-  const RapNode &Leaf = A.findSmallestCover(100);
+  RapNode Leaf = A.findSmallestCover(100);
   EXPECT_EQ(Leaf.lo(), 100u);
   EXPECT_EQ(Leaf.hi(), 100u);
   EXPECT_GT(A.estimateRange(100, 100), 19000u);

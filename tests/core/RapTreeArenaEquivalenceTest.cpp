@@ -46,7 +46,7 @@ void collectPreorder(const RapNode &Node, std::vector<NodeTriple> &Out) {
   Out.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
                    Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectPreorder(*Child, Out);
 }
 

@@ -42,7 +42,7 @@ void collectNodes(const RapNode &Node,
                   std::vector<std::tuple<uint64_t, uint64_t, uint64_t>> &Out) {
   Out.emplace_back(Node.lo(), Node.hi(), Node.subtreeWeight());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collectNodes(*Child, Out);
 }
 

@@ -33,7 +33,7 @@ RapConfig fig1Config() {
 
 /// Convenience: true if a node with exactly [Lo, Hi] exists.
 bool hasNode(const RapTree &Tree, uint64_t Lo, uint64_t Hi) {
-  const RapNode &Cover = Tree.findSmallestCover(Lo);
+  RapNode Cover = Tree.findSmallestCover(Lo);
   return Cover.lo() == Lo && Cover.hi() == Hi;
 }
 
@@ -101,7 +101,7 @@ TEST(Fig1Scenario, AccessAfterMergeResplitsPairRange) {
 
   Tree.mergeNow();
   // After the merge, 12 is covered by a range wider than a unit.
-  const RapNode &AfterMerge = Tree.findSmallestCover(12);
+  RapNode AfterMerge = Tree.findSmallestCover(12);
   EXPECT_GT(AfterMerge.widthBits(), 0u);
 
   // Now item 12 gets hot again: the covering range's counter crosses

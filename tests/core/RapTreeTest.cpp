@@ -63,7 +63,7 @@ TEST(RapTree, RepeatedHotValueDrillsDownToUnitRange) {
   RapTree Tree(smallConfig());
   for (int I = 0; I != 32; ++I)
     Tree.addPoint(12);
-  const RapNode &Leaf = Tree.findSmallestCover(12);
+  RapNode Leaf = Tree.findSmallestCover(12);
   EXPECT_EQ(Leaf.lo(), 12u);
   EXPECT_EQ(Leaf.hi(), 12u);
   EXPECT_TRUE(Leaf.isUnitRange());
@@ -73,7 +73,7 @@ TEST(RapTree, UnitRangesNeverSplit) {
   RapTree Tree(smallConfig());
   for (int I = 0; I != 100; ++I)
     Tree.addPoint(12);
-  const RapNode &Leaf = Tree.findSmallestCover(12);
+  RapNode Leaf = Tree.findSmallestCover(12);
   EXPECT_TRUE(Leaf.isUnitRange());
   EXPECT_FALSE(Leaf.hasChildren());
   EXPECT_GT(Leaf.count(), 80u); // Almost all mass lands on the leaf.
@@ -90,7 +90,7 @@ TEST(RapTree, SplitChildrenStartAtZeroAndParentKeepsCount) {
   // Newly created children have zero counts.
   uint64_t ChildSum = 0;
   for (unsigned Slot = 0; Slot != Tree.root().numChildSlots(); ++Slot)
-    if (const RapNode *Child = Tree.root().child(Slot))
+    if (std::optional<RapNode> Child = Tree.root().child(Slot))
       ChildSum += Child->subtreeWeight();
   EXPECT_EQ(ChildSum, 0u);
 }
@@ -131,7 +131,7 @@ TEST(RapTree, MergeFoldsColdChildrenIntoParent) {
   EXPECT_EQ(Tree.numNodes(), NodesBefore - Removed);
   EXPECT_EQ(Tree.root().subtreeWeight(), Tree.numEvents());
   // The hot unit leaf survives the merge.
-  const RapNode &Leaf = Tree.findSmallestCover(12);
+  RapNode Leaf = Tree.findSmallestCover(12);
   EXPECT_EQ(Leaf.lo(), 12u);
   EXPECT_EQ(Leaf.hi(), 12u);
 }
@@ -145,7 +145,7 @@ TEST(RapTree, MergedRegionCanResplit) {
   // 200's subtree was folded; now make 200 hot and it must re-split.
   for (int I = 0; I != 400; ++I)
     Tree.addPoint(200);
-  const RapNode &Leaf = Tree.findSmallestCover(200);
+  RapNode Leaf = Tree.findSmallestCover(200);
   EXPECT_EQ(Leaf.lo(), 200u);
   EXPECT_EQ(Leaf.hi(), 200u);
 }
@@ -298,7 +298,7 @@ TEST(RapTree, BranchFactorFourSplitsIntoFourChildren) {
   EXPECT_EQ(Tree.root().numChildSlots(), 4u);
   unsigned Live = 0;
   for (unsigned Slot = 0; Slot != 4; ++Slot)
-    Live += Tree.root().child(Slot) != nullptr;
+    Live += Tree.root().child(Slot).has_value();
   EXPECT_EQ(Live, 4u);
 }
 
@@ -313,11 +313,11 @@ TEST(RapTree, NonDivisibleRangeBitsBottomLevelNarrower) {
   RapTree Tree(Config);
   for (int I = 0; I != 64; ++I)
     Tree.addPoint(17);
-  const RapNode &Leaf = Tree.findSmallestCover(17);
+  RapNode Leaf = Tree.findSmallestCover(17);
   EXPECT_EQ(Leaf.lo(), 17u);
   EXPECT_EQ(Leaf.hi(), 17u);
   // Walk up: its parent must be the 1-bit range [16,17].
-  const RapNode &Pair = Tree.findSmallestCover(16);
+  RapNode Pair = Tree.findSmallestCover(16);
   EXPECT_EQ(Pair.lo(), 16u);
   EXPECT_EQ(Pair.hi(), 16u); // 16 also drilled to a unit leaf (sibling)
 }

@@ -247,8 +247,9 @@ TEST(ShardedRapSession, TopKRangesMergesShardCandidates) {
   ASSERT_LE(Top.size(), 6u);
   bool HotCovered = false;
   for (size_t I = 0; I != Top.size(); ++I) {
-    if (I > 0)
+    if (I > 0) {
       EXPECT_GE(Top[I - 1].Retained, Top[I].Retained) << "not ordered";
+    }
     EXPECT_EQ(Top[I].Retained, Top[I].LowerWeight);
     EXPECT_LE(Top[I].LowerWeight, Top[I].UpperWeight);
     EXPECT_LE(Top[I].UpperWeight, Total);

@@ -56,8 +56,9 @@ void runAgainstReference(uint64_t Capacity,
     TotalRaw += Weight;
     Window[Event] += Weight;
     EXPECT_EQ(Buffer.size(), Window.size());
-    if (Capacity != 0)
+    if (Capacity != 0) {
       EXPECT_EQ(Full, Window.size() >= Capacity);
+    }
     if (Full)
       CheckDrain();
   }
@@ -152,6 +153,24 @@ TEST(StageZeroBuffer, CapacityZeroIsImmediateMode) {
   EXPECT_EQ(Second[0], Pair(9, 1));
   EXPECT_EQ(Buffer.rawEvents(), 4u);
   EXPECT_EQ(Buffer.drainedPairs(), 2u);
+}
+
+TEST(StageZeroBuffer, StatisticsAccumulateAcrossDrains) {
+  // The counters and the combining factor span every window, not just
+  // the last one; at capacity 0 nothing combines and the factor is 1.
+  for (uint64_t Capacity : {uint64_t(4), uint64_t(0)}) {
+    StageZeroBuffer Buffer(Capacity);
+    for (int Round = 0; Round != 5; ++Round) {
+      for (uint64_t I = 0; I != 8; ++I)
+        if (Buffer.push(I % 2))
+          Buffer.drain();
+      Buffer.drain();
+    }
+    EXPECT_EQ(Buffer.rawEvents(), 40u) << Capacity;
+    EXPECT_EQ(Buffer.drainedPairs(), Capacity == 0 ? 40u : 10u) << Capacity;
+    EXPECT_DOUBLE_EQ(Buffer.combiningFactor(), Capacity == 0 ? 1.0 : 4.0)
+        << Capacity;
+  }
 }
 
 TEST(StageZeroBuffer, ZeroWeightIsNoOp) {

@@ -59,7 +59,7 @@ RapConfig smallConfig() {
 uint64_t countedWeight(const RapNode &Node) {
   uint64_t Total = Node.count();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, countedWeight(*Child));
   return Total;
 }
@@ -72,7 +72,7 @@ uint64_t referenceLower(const RapNode &Node, uint64_t Lo, uint64_t Hi) {
     return countedWeight(Node);
   uint64_t Total = 0;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, referenceLower(*Child, Lo, Hi));
   return Total;
 }
@@ -85,7 +85,7 @@ uint64_t referenceUpper(const RapNode &Node, uint64_t Lo, uint64_t Hi) {
     return countedWeight(Node);
   uint64_t Total = Node.count();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Total = saturatingAdd(Total, referenceUpper(*Child, Lo, Hi));
   return Total;
 }
@@ -98,7 +98,7 @@ uint64_t referenceHotWalk(const RapNode &Node, double Threshold,
   Out.emplace_back();
   uint64_t Exclusive = Node.count();
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       Exclusive = saturatingAdd(
           Exclusive, referenceHotWalk(*Child, Threshold, Depth + 1, Out));
   if (!(static_cast<double>(Exclusive) >= Threshold)) {
@@ -318,10 +318,20 @@ TEST(SubtreeSum, ArenaAllocFailureRollsBackCleanly) {
 }
 
 TEST(SubtreeSum, ArenaBytesCountsEverySlab) {
-  // Per slot: lo, count, subtree sum and nav words (8 B each), the
-  // width byte and the 16-byte handle.
+  // Per slot: the count, subtree-sum and navigation words, 8 B each. A
+  // node's range follows from its path, so no slab stores it, and
+  // handles are values, so no table backs them.
   RapTree Tree(smallConfig());
-  EXPECT_GE(Tree.arenaBytes(), 8u * 4 + 1 + 16);
+  EXPECT_EQ(Tree.arenaBytes(), 3u * 8);
+  Rng R(7);
+  for (int I = 0; I != 20000; ++I)
+    Tree.addPoint(R.nextBelow(4) == 0 ? R.nextBelow(1 << 16)
+                                      : R.nextBelow(64) << 6);
+  ASSERT_GT(Tree.maxNumNodes(), 100u);
+  // The three slabs grow in lockstep, so the bytes are whole 24-byte
+  // slots, at least one per node the tree ever held.
+  EXPECT_EQ(Tree.arenaBytes() % 24, 0u);
+  EXPECT_GE(Tree.arenaBytes(), 24 * Tree.maxNumNodes());
 }
 
 TEST(SubtreeSum, RangeReadsMatchTheRecursiveWalks) {

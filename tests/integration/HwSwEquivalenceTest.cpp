@@ -16,6 +16,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "core/RapTree.h"
+#include "core/StageZeroBuffer.h"
 #include "hw/PipelinedEngine.h"
 #include "support/Rng.h"
 #include "trace/ProgramModel.h"
@@ -37,7 +38,7 @@ void collect(const RapNode &Node,
              std::vector<std::tuple<uint64_t, unsigned, uint64_t>> &Out) {
   Out.emplace_back(Node.lo(), Node.widthBits(), Node.count());
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-    if (const RapNode *Child = Node.child(Slot))
+    if (std::optional<RapNode> Child = Node.child(Slot))
       collect(*Child, Out);
 }
 
@@ -114,7 +115,7 @@ TEST_P(HwSwEquivalence, IdenticalWithCombiningWhenTreeFedPairs) {
 
   RapTree Tree(Config);
   PipelinedRapEngine Engine(HwConfig);
-  EventBuffer Mirror(128); // identical combining for the software side
+  StageZeroBuffer Mirror(128); // the engine's own stage-0 buffer type
   Rng R(P.Seed ^ 0x5a5a);
   auto DrainIntoTree = [&] {
     for (const auto &[Event, Count] : Mirror.drain())

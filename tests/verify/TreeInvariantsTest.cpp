@@ -71,7 +71,7 @@ TEST(TreeInvariants, AuditNodeSetAcceptsRealSnapshot) {
     void walk(const RapNode &Node) {
       Out.emplace_back(Node.lo(), uint8_t(Node.widthBits()), Node.count());
       for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
-        if (const RapNode *Child = Node.child(Slot))
+        if (std::optional<RapNode> Child = Node.child(Slot))
           walk(*Child);
     }
   };

@@ -43,7 +43,9 @@
 #      which compiles the profiler straight from src/) configured into
 #      its own build-perfbench/ tree, built, and its helper self-tests
 #      run — proves the unmodified benchmark still compiles against the
-#      current library API
+#      current library API — then a 3 s traced run of each workload,
+#      which fails the step unless its checker (every answer held
+#      against ExactProfiler) reports "failed": 0
 #   9. non-gating perf leg: bench_run, bench_parallel, bench_admission
 #      and bench_query --smoke through the bench_diff schema check,
 #      schema checks of the pinned BENCH_parallel.json,
@@ -130,10 +132,21 @@ else
   step "clang -Wthread-safety leg skipped (no clang++ on PATH)"
 fi
 
-step "perfbench build + helper self-tests"
+step "perfbench build + helper self-tests + checked run per workload"
 cmake -S perfbench -B build-perfbench >/dev/null
 cmake --build build-perfbench -j "$JOBS"
 ctest --test-dir build-perfbench --output-on-failure -j "$JOBS"
+for W in program-profile query-mixed; do
+  ./build-perfbench/rap_perfbench --workload "$W" --seed 1 --seconds 3 \
+      --trace 1 --spans "build-perfbench/ci-$W.csv" \
+      >"build-perfbench/ci-$W.json"
+  tail -n 1 "build-perfbench/ci-$W.json" | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+print("perfbench %s: attempted %d, failed %d"
+      % (sys.argv[1], result["attempted"], result["failed"]))
+sys.exit(result["failed"] != 0)' "$W"
+done
 
 step "bench smoke + schema check (perf numbers non-gating)"
 ./build/bench/bench_run --smoke --out=build/BENCH_smoke.json
