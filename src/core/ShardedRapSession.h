@@ -28,9 +28,11 @@
 /// eps * n_total (see RapTree::absorb). Event counts are exact: every
 /// unit of ingested weight is in exactly one tree at any instant.
 ///
-/// Lock discipline (checked by rap_lint's interprocedural rules and,
-/// under Clang, -Wthread-safety): each shard's delta state is guarded
-/// by that shard's IngestMu, the combined tree by CombineMu, and
+/// Lock discipline (checked by rap_lint's interprocedural rules; a
+/// Clang build would also check it with -Wthread-safety, but the
+/// g++-only CI image never runs that leg, so the linter and the TSan
+/// leg are the only checks): each shard's delta state is guarded by
+/// that shard's IngestMu, the combined tree by CombineMu, and
 /// CombineMu is always acquired before any IngestMu — the combiner
 /// holds at most one shard lock at a time, so ingest on the other
 /// shards proceeds while it drains.

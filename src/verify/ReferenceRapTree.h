@@ -24,9 +24,7 @@
 /// Two trees that agree on the preorder (lo, widthBits, count) node
 /// sequence agree on every estimate, hot-range extraction and bound the
 /// library derives, so structural identity here is the strongest
-/// equivalence the oracle can assert. It is also the "legacy" variant
-/// timed by bench/bench_run for the before/after numbers in
-/// BENCH_core.json.
+/// equivalence the oracle can assert.
 ///
 //===----------------------------------------------------------------------===//
 

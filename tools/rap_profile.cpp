@@ -35,6 +35,7 @@
 #include "core/Analysis.h"
 #include "core/Serialization.h"
 #include "support/ArgParse.h"
+#include "support/BitUtils.h"
 #include "support/TableWriter.h"
 #include "trace/ProgramModel.h"
 #include "trace/TraceIO.h"
@@ -82,30 +83,67 @@ unsigned rangeBitsFor(ProfileKind Kind) {
   return 64;
 }
 
-/// Feeds one record into \p Tree according to \p Kind.
-void feedRecord(RapTree &Tree, const TraceRecord &Record,
-                ProfileKind Kind) {
+/// Feeds record number \p Index into \p Tree according to \p Kind.
+/// Trace records come from outside the program, and RapTree::addPoint
+/// checks its universe only in asserts-on builds: a release build
+/// would count an out-of-universe key in the in-universe range its low
+/// bits select. So a key past the universe is not fed; the call
+/// returns false and \p Error names the record and its field.
+bool feedRecord(RapTree &Tree, const TraceRecord &Record, ProfileKind Kind,
+                uint64_t Index, std::string &Error) {
+  const char *Field = "BlockPc";
+  uint64_t Key = Record.BlockPc;
+  uint64_t Weight = 1;
   switch (Kind) {
   case ProfileKind::Code:
-    Tree.addPoint(Record.BlockPc, Record.BlockLength);
+    Weight = Record.BlockLength;
     break;
   case ProfileKind::Value:
-    if (Record.HasLoad)
-      Tree.addPoint(Record.LoadValue);
+    if (!Record.HasLoad)
+      return true;
+    Field = "LoadValue";
+    Key = Record.LoadValue;
     break;
   case ProfileKind::Address:
-    if (Record.HasLoad)
-      Tree.addPoint(Record.LoadAddress);
-    break;
   case ProfileKind::ZeroAddress:
-    if (Record.HasLoad && Record.LoadValue == 0)
-      Tree.addPoint(Record.LoadAddress);
+    if (!Record.HasLoad ||
+        (Kind == ProfileKind::ZeroAddress && Record.LoadValue != 0))
+      return true;
+    Field = "LoadAddress";
+    Key = Record.LoadAddress;
     break;
   case ProfileKind::NarrowPc:
-    if (Record.NarrowOperand)
-      Tree.addPoint(Record.BlockPc);
+    if (!Record.NarrowOperand)
+      return true;
     break;
   }
+  unsigned RangeBits = Tree.config().RangeBits;
+  if (Key > lowBitMask(RangeBits)) {
+    char Buffer[128];
+    std::snprintf(Buffer, sizeof(Buffer),
+                  "record %" PRIu64 ": %s 0x%" PRIx64
+                  " is outside the profile's universe [0, 2^%u)",
+                  Index, Field, Key, RangeBits);
+    Error = Buffer;
+    return false;
+  }
+  Tree.addPoint(Key, Weight);
+  return true;
+}
+
+/// Feeds every record of the trace on \p In into \p Tree. Returns
+/// false with \p Error set if the trace is malformed or a record's key
+/// lies outside the tree's universe.
+bool collectTrace(std::istream &In, RapTree &Tree, ProfileKind Kind,
+                  std::string &Error) {
+  TraceReader Reader(In);
+  TraceRecord Record;
+  for (uint64_t Index = 0; Reader.valid() && Reader.next(Record); ++Index)
+    if (!feedRecord(Tree, Record, Kind, Index, Error))
+      return false;
+  if (!Reader.valid())
+    Error = Reader.error();
+  return Reader.valid();
 }
 
 int runTrace(const ArgParse &Args) {
@@ -156,16 +194,9 @@ int runCollect(const ArgParse &Args) {
                    Args.getString("trace").c_str());
       return 1;
     }
-    TraceReader Reader(In);
-    if (!Reader.valid()) {
-      std::fprintf(stderr, "error: %s\n", Reader.error().c_str());
-      return 1;
-    }
-    TraceRecord Record;
-    while (Reader.next(Record))
-      feedRecord(Tree, Record, Kind);
-    if (!Reader.valid()) {
-      std::fprintf(stderr, "error: %s\n", Reader.error().c_str());
+    if (!collectTrace(In, Tree, Kind, Error)) {
+      std::fprintf(stderr, "error: %s: %s\n",
+                   Args.getString("trace").c_str(), Error.c_str());
       return 1;
     }
   } else {
@@ -173,7 +204,10 @@ int runCollect(const ArgParse &Args) {
                        Args.getUint("seed"));
     uint64_t NumBlocks = Args.getUint("events");
     for (uint64_t I = 0; I != NumBlocks; ++I)
-      feedRecord(Tree, Model.next(), Kind);
+      if (!feedRecord(Tree, Model.next(), Kind, I, Error)) {
+        std::fprintf(stderr, "error: model %s\n", Error.c_str());
+        return 1;
+      }
   }
 
   ProfileSnapshot Snapshot = ProfileSnapshot::capture(Tree);
@@ -322,30 +356,73 @@ int runSelfTest() {
       return 1;
     }
   }
-  // Profile it twice (value profile at two epsilons) via the reader.
-  auto Collect = [&](double Epsilon) {
+  // Profile it through the trace reader, as --mode=collect does: every
+  // profile kind must accept the model's own trace.
+  auto Collect = [&](ProfileKind Kind, double Epsilon) {
     TraceStream.clear();
     TraceStream.seekg(0);
     RapConfig Config;
-    Config.RangeBits = ProgramModel::ValueRangeBits;
+    Config.RangeBits = rangeBitsFor(Kind);
     Config.Epsilon = Epsilon;
     RapTree Tree(Config);
-    TraceReader Reader(TraceStream);
-    if (!Reader.valid()) {
-      std::fprintf(stderr, "selftest: trace invalid: %s\n",
-                   Reader.error().c_str());
+    std::string Error;
+    if (!collectTrace(TraceStream, Tree, Kind, Error)) {
+      std::fprintf(stderr, "selftest: model trace rejected: %s\n",
+                   Error.c_str());
       return std::unique_ptr<ProfileSnapshot>();
     }
-    TraceRecord Record;
-    while (Reader.next(Record))
-      feedRecord(Tree, Record, ProfileKind::Value);
     return std::make_unique<ProfileSnapshot>(
         ProfileSnapshot::capture(Tree));
   };
-  std::unique_ptr<ProfileSnapshot> Coarse = Collect(0.1);
-  std::unique_ptr<ProfileSnapshot> Fine = Collect(0.01);
+  for (ProfileKind Kind : {ProfileKind::Code, ProfileKind::Address,
+                           ProfileKind::ZeroAddress, ProfileKind::NarrowPc})
+    if (!Collect(Kind, 0.01))
+      return 1;
+  // The value profile twice, at two epsilons.
+  std::unique_ptr<ProfileSnapshot> Coarse = Collect(ProfileKind::Value, 0.1);
+  std::unique_ptr<ProfileSnapshot> Fine = Collect(ProfileKind::Value, 0.01);
   if (!Coarse || !Fine)
     return 1;
+
+  // A trace whose key lies past the profile's universe is rejected,
+  // naming the record and field, and never misfiled into the range
+  // its low bits select.
+  struct BadTrace {
+    ProfileKind Kind;
+    TraceRecord Record;
+    const char *Expected;
+  };
+  TraceRecord Pc;
+  Pc.BlockPc = uint64_t(1) << ProgramModel::PcRangeBits;
+  Pc.BlockLength = 4;
+  TraceRecord Address;
+  Address.HasLoad = true;
+  Address.LoadAddress = uint64_t(1) << ProgramModel::AddressRangeBits;
+  for (const BadTrace &Bad :
+       {BadTrace{ProfileKind::Code, Pc, "record 1: BlockPc 0x100000000 "},
+        BadTrace{ProfileKind::Address, Address,
+                 "record 1: LoadAddress 0x100000000000 "}}) {
+    std::stringstream BadStream;
+    TraceWriter Writer(BadStream);
+    Writer.append(TraceRecord());
+    Writer.append(Bad.Record);
+    if (!Writer.finish()) {
+      std::fprintf(stderr, "selftest: trace capture failed\n");
+      return 1;
+    }
+    RapConfig Config;
+    Config.RangeBits = rangeBitsFor(Bad.Kind);
+    RapTree Tree(Config);
+    std::string Error;
+    if (collectTrace(BadStream, Tree, Bad.Kind, Error) ||
+        Error.rfind(Bad.Expected, 0) != 0 || Tree.numEvents() != 0) {
+      std::fprintf(stderr,
+                   "selftest: out-of-universe record not rejected "
+                   "(%" PRIu64 " events fed, error '%s')\n",
+                   Tree.numEvents(), Error.c_str());
+      return 1;
+    }
+  }
 
   // Round-trip the fine profile through the binary format.
   std::stringstream ProfileStream;
