@@ -71,7 +71,7 @@ void ShardedRapSession::ingest(uint64_t X, uint64_t Weight) {
         CombineEvery != 0 && S.PendingSinceCombine >= CombineEvery;
   }
   // Combine outside the shard lock: combineNow re-acquires it in the
-  // declared CombineMu-before-IngestMu order. Another thread may have
+  // CombineMu-before-IngestMu order. Another thread may have
   // combined in the gap — then this pass simply drains less.
   if (WatermarkHit)
     combineNow();
@@ -132,7 +132,7 @@ std::vector<TopKRange> ShardedRapSession::topKRanges(size_t K) const {
   // Pass 1: gather candidate ranges. A range hot over the whole
   // session holds at least 1/(S+1) of its weight in some single tree,
   // so taking each tree's own top K keeps every plausible winner in
-  // play. Shard locks are taken one at a time (the declared
+  // play. Shard locks are taken one at a time (the
   // CombineMu-before-IngestMu order), never all at once.
   std::vector<TopKRange> Candidates = CombinedTree->topK(K);
   for (const std::unique_ptr<Shard> &SP : Shards) {
@@ -160,10 +160,8 @@ std::vector<TopKRange> ShardedRapSession::topKRanges(size_t K) const {
   // brackets are sound for that tree's slice of the stream and every
   // ingested event lives in exactly one tree, so their sums bracket
   // the whole stream's count. This is the combiner's hot loop
-  // (candidates x trees bounds queries), and it is where the range
-  // fence earns its keep: a range nominated by one tree is usually
-  // provably cold in the other deltas, so those estimateRangeBounds
-  // calls return without walking.
+  // (candidates x trees bounds queries), each an O(b * depth) walk of
+  // the subtree-sum column; it does not consult the range fence.
   for (TopKRange &C : Candidates) {
     RapTree::RangeBounds B = CombinedTree->estimateRangeBounds(C.Lo, C.Hi);
     C.LowerWeight = B.Lower;

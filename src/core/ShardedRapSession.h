@@ -28,14 +28,17 @@
 /// eps * n_total (see RapTree::absorb). Event counts are exact: every
 /// unit of ingested weight is in exactly one tree at any instant.
 ///
-/// Lock discipline (checked by rap_lint's interprocedural rules; a
-/// Clang build would also check it with -Wthread-safety, but the
-/// g++-only CI image never runs that leg, so the linter and the TSan
-/// leg are the only checks): each shard's delta state is guarded by
-/// that shard's IngestMu, the combined tree by CombineMu, and
-/// CombineMu is always acquired before any IngestMu — the combiner
-/// holds at most one shard lock at a time, so ingest on the other
-/// shards proceeds while it drains.
+/// Lock discipline: each shard's delta state is guarded by that
+/// shard's IngestMu, the combined tree by CombineMu, and CombineMu is
+/// always acquired before any IngestMu — the combiner holds at most
+/// one shard lock at a time, so ingest on the other shards proceeds
+/// while it drains. The ThreadSanitizer leg (tools/ci.sh) checks this
+/// on every path the threaded tests in ShardedRapSessionTest run: an
+/// unlocked access is a data race report and an acquisition against
+/// the order is a lock-order-inversion report, and either fails the
+/// leg. A lock path no test runs goes unchecked on g++; a Clang build
+/// with -Wthread-safety would check every RAP_GUARDED_BY access
+/// statically, but the g++-only CI image never runs that leg.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -75,10 +78,7 @@ public:
 
   /// Records \p Weight occurrences of event \p X in X's shard. When
   /// the shard's pending weight crosses the combine watermark, runs a
-  /// full combine after releasing the shard lock. (Named distinctly
-  /// from RapTree::addPoint: rap_lint's call graph merges functions
-  /// by unqualified name, and a shared name would alias the delta
-  /// tree's lock-free update with this lock-taking entry point.)
+  /// full combine after releasing the shard lock.
   void ingest(uint64_t X, uint64_t Weight = 1);
 
   /// Absorbs every shard's delta tree into the combined tree and
@@ -86,13 +86,6 @@ public:
   /// lock at a time. Safe to call concurrently with ingest; events
   /// added to a shard after its drain surface at the next combine.
   void combineNow();
-
-  // The query API deliberately avoids reusing RapTree method names
-  // (numEvents, estimateRange, ...): rap_lint's interprocedural pass
-  // merges functions by unqualified name, so sharing a name would
-  // charge these lock-taking queries' acquisitions to every tree
-  // call site in the project. Session-specific names also read
-  // better: they answer over the *combined* view, not one tree.
 
   /// Exact total ingested weight: the combined tree's count plus all
   /// pending shard deltas.
@@ -152,7 +145,7 @@ public:
 
 private:
   /// One ingest shard. The mutexes are mutable so const queries
-  /// (numEvents) can take them.
+  /// (totalEvents, topKRanges) can take them.
   struct Shard {
     mutable std::mutex IngestMu;
     /// Delta tree holding events ingested since the last combine.
@@ -161,7 +154,7 @@ private:
     uint64_t PendingSinceCombine RAP_GUARDED_BY(IngestMu) = 0;
   };
 
-  RAP_ACQUIRED_BEFORE(CombineMu, IngestMu);
+  // Lock order: CombineMu before any shard's IngestMu.
 
   RapConfig Config;
   uint64_t CombineEvery;

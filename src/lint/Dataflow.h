@@ -11,7 +11,7 @@
 ///
 ///   * may-analyses (use-after-move, counter taint) join by union —
 ///     a fact holds if it holds on ANY path into the block;
-///   * must-analyses (lock-discipline) join by intersection — a fact
+///   * must-analyses join by intersection — a fact
 ///     holds only if it holds on EVERY path into the block. Blocks
 ///     not yet visited contribute nothing (top), so intersection
 ///     starts from the first reached predecessor.

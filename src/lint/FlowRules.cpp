@@ -11,7 +11,9 @@
 #include "lint/Dataflow.h"
 
 #include <cctype>
-#include <map>
+#include <set>
+#include <string>
+#include <vector>
 
 using namespace rap;
 using namespace rap::lint;
@@ -98,7 +100,7 @@ private:
 
 /// Whether the identifier at \p I is a fresh name use rather than the
 /// tail of a member/qualifier chain (`o.x`, `o->x`, `N::x`). `this->x`
-/// still counts: it is the same object the guard covers.
+/// still counts: it names the same member.
 bool isDirectUse(const std::vector<Token> &T, size_t I, size_t Begin) {
   if (I == Begin)
     return true;
@@ -108,6 +110,51 @@ bool isDirectUse(const std::vector<Token> &T, size_t I, size_t Begin) {
   if (isPunct(Prev, "->"))
     return I >= 2 && isIdent(T[I - 2], "this");
   return true;
+}
+
+/// Resolves the callee of the call starting at token \p I: walks a
+/// qualifier/member chain and returns the identifier directly before
+/// a `(`, or empty. \p Next receives the index of that `(`.
+std::string calleeAt(const std::vector<Token> &T, size_t I, size_t End,
+                     size_t &Next) {
+  std::string Callee;
+  size_t J = I;
+  while (J < End) {
+    if (T[J].TokenKind == Token::Kind::Identifier) {
+      Callee = T[J].Text;
+      ++J;
+      if (J < End && isPunct(T[J], "(")) {
+        Next = J;
+        return Callee;
+      }
+      continue;
+    }
+    if (isPunct(T[J], "::") || isPunct(T[J], ".") || isPunct(T[J], "->")) {
+      ++J;
+      continue;
+    }
+    break;
+  }
+  return std::string();
+}
+
+/// Whether \p Name reads like a fallible operation, so a bool return
+/// is a status code rather than a predicate (isEmpty, hasNode, ...).
+bool looksLikeStatusName(const std::string &Name) {
+  static const std::vector<std::string> Prefixes = {
+      "try",      "init",    "open",     "close",    "flush",
+      "finish",   "write",   "read",     "load",     "save",
+      "verify",   "check",   "parse",    "apply",    "commit",
+      "validate", "serialize", "deserialize", "start", "stop",
+      "finalize", "run",     "snapshot", "restore",  "recover",
+      "configure"};
+  std::string Lower;
+  for (char C : Name)
+    Lower += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
+  for (const std::string &P : Prefixes)
+    if (Lower.rfind(P, 0) == 0)
+      return true;
+  return false;
 }
 
 //===----------------------------------------------------------------------===//
@@ -543,95 +590,11 @@ void transferCounter(const std::vector<Token> &T, const Action &A,
     Tainted.erase(Target.Text);
 }
 
-void runCounterEscape(const std::string &Path, const LexedSource &Src,
-                      const ParsedFile &Parsed, const Function &Fn,
-                      const Cfg &G, std::vector<Finding> &Out) {
-  const std::vector<Token> &T = Src.Tokens;
-  LambdaMask Mask(Parsed);
-  FactSet Shadowed = collectShadowedNames(T, Fn, G);
-  auto Transfer = [&](const BasicBlock &B, FactSet State) {
-    for (const Action &A : B.Actions)
-      transferCounter(T, A, Mask, Shadowed, State, nullptr, nullptr);
-    return State;
-  };
-  DataflowResult R = solveForward(G, JoinKind::Union, {}, Transfer);
-
-  std::set<std::pair<unsigned, std::string>> Seen;
-  std::vector<Finding> Raw;
-  for (const BasicBlock &B : G.Blocks) {
-    if (!R.Reached[B.Id])
-      continue;
-    FactSet State = R.EntryState[B.Id];
-    for (const Action &A : B.Actions)
-      transferCounter(T, A, Mask, Shadowed, State, &Path, &Raw);
-  }
-  for (Finding &F : Raw)
-    if (Seen.emplace(F.Line, F.Message).second)
-      Out.push_back(std::move(F));
-}
-
-//===----------------------------------------------------------------------===//
-// lock-discipline
-//===----------------------------------------------------------------------===//
-
-void runLockDiscipline(const std::string &Path, const LexedSource &Src,
-                       const ParsedFile &Parsed, const Function &Fn,
-                       const Cfg &G, std::vector<Finding> &Out) {
-  if (Parsed.GuardedVars.empty())
-    return;
-  const std::vector<Token> &T = Src.Tokens;
-  std::map<std::string, std::string> GuardOf;
-  for (const auto &[Var, Mutex] : Parsed.GuardedVars)
-    GuardOf[Var] = Mutex;
-
-  FactSet Entry(Fn.RequiredLocks.begin(), Fn.RequiredLocks.end());
-  auto Transfer = [&](const BasicBlock &B, FactSet State) {
-    for (const Action &A : B.Actions)
-      transferLocks(T, A, State);
-    return State;
-  };
-  DataflowResult R = solveForward(G, JoinKind::Intersection, Entry, Transfer);
-
-  std::set<std::pair<unsigned, std::string>> Seen;
-  for (const BasicBlock &B : G.Blocks) {
-    if (!R.Reached[B.Id])
-      continue;
-    FactSet Held = R.EntryState[B.Id];
-    for (const Action &A : B.Actions) {
-      bool IsAnnotationSite = false;
-      if (A.ActionKind == Action::Kind::Decl)
-        for (size_t I = A.Begin; I < A.End; ++I)
-          if (isIdent(T[I], "RAP_GUARDED_BY"))
-            IsAnnotationSite = true;
-      if (!IsAnnotationSite) {
-        for (size_t I = A.Begin; I < A.End; ++I) {
-          if (T[I].TokenKind != Token::Kind::Identifier)
-            continue;
-          auto It = GuardOf.find(T[I].Text);
-          if (It == GuardOf.end() || Held.count(It->second))
-            continue;
-          if (!isDirectUse(T, I, A.Begin))
-            continue;
-          if (Seen.emplace(T[I].Line, T[I].Text).second)
-            Out.push_back(
-                {"lock-discipline", Path, T[I].Line,
-                 "'" + T[I].Text + "' is RAP_GUARDED_BY(" + It->second +
-                     ") but " + It->second +
-                     " is not held on every path here; take a "
-                     "lock_guard/unique_lock or annotate the function "
-                     "RAP_REQUIRES(" +
-                     It->second + ")"});
-        }
-      }
-      transferLocks(T, A, Held);
-    }
-  }
-}
-
-} // namespace
-
-FactSet rap::lint::collectShadowedNames(const std::vector<Token> &T,
-                                        const Function &Fn, const Cfg &G) {
+/// Names bound inside \p Fn: its parameters plus every locally
+/// declared variable. A bare use of such a name is that binding, not
+/// a namespace-scope variable or class field of the same name.
+FactSet collectShadowedNames(const std::vector<Token> &T, const Function &Fn,
+                             const Cfg &G) {
   FactSet Shadowed;
   // Parameters: each declarator name is the identifier right before
   // a top-level `,`, `=`, or the closing paren.
@@ -674,126 +637,34 @@ FactSet rap::lint::collectShadowedNames(const std::vector<Token> &T,
   return Shadowed;
 }
 
-std::string rap::lint::calleeAt(const std::vector<Token> &T, size_t I,
-                                size_t End, size_t &Next) {
-  std::string Callee;
-  size_t J = I;
-  while (J < End) {
-    if (T[J].TokenKind == Token::Kind::Identifier) {
-      Callee = T[J].Text;
-      ++J;
-      if (J < End && isPunct(T[J], "(")) {
-        Next = J;
-        return Callee;
-      }
+void runCounterEscape(const std::string &Path, const LexedSource &Src,
+                      const ParsedFile &Parsed, const Function &Fn,
+                      const Cfg &G, std::vector<Finding> &Out) {
+  const std::vector<Token> &T = Src.Tokens;
+  LambdaMask Mask(Parsed);
+  FactSet Shadowed = collectShadowedNames(T, Fn, G);
+  auto Transfer = [&](const BasicBlock &B, FactSet State) {
+    for (const Action &A : B.Actions)
+      transferCounter(T, A, Mask, Shadowed, State, nullptr, nullptr);
+    return State;
+  };
+  DataflowResult R = solveForward(G, JoinKind::Union, {}, Transfer);
+
+  std::set<std::pair<unsigned, std::string>> Seen;
+  std::vector<Finding> Raw;
+  for (const BasicBlock &B : G.Blocks) {
+    if (!R.Reached[B.Id])
       continue;
-    }
-    if (isPunct(T[J], "::") || isPunct(T[J], ".") || isPunct(T[J], "->")) {
-      ++J;
-      continue;
-    }
-    break;
+    FactSet State = R.EntryState[B.Id];
+    for (const Action &A : B.Actions)
+      transferCounter(T, A, Mask, Shadowed, State, &Path, &Raw);
   }
-  return std::string();
+  for (Finding &F : Raw)
+    if (Seen.emplace(F.Line, F.Message).second)
+      Out.push_back(std::move(F));
 }
 
-const std::set<std::string> &rap::lint::lockClasses() {
-  static const std::set<std::string> Classes = {"lock_guard", "unique_lock",
-                                                "scoped_lock"};
-  return Classes;
-}
-
-std::string rap::lint::lockDeclMutex(const std::vector<Token> &T, size_t Begin,
-                                     size_t End) {
-  size_t Class = End;
-  for (size_t I = Begin; I < End; ++I)
-    if (T[I].TokenKind == Token::Kind::Identifier &&
-        lockClasses().count(T[I].Text)) {
-      Class = I;
-      break;
-    }
-  if (Class == End)
-    return std::string();
-  size_t Paren = End;
-  for (size_t I = Class; I < End; ++I)
-    if (isPunct(T[I], "(") || isPunct(T[I], "{")) {
-      Paren = I;
-      break;
-    }
-  if (Paren == End)
-    return std::string();
-  const char *Open = isPunct(T[Paren], "(") ? "(" : "{";
-  const char *Close = isPunct(T[Paren], "(") ? ")" : "}";
-  size_t CloseAt = matchDelim(T, Paren, End, Open, Close);
-  // First argument: the mutex expression up to `,`; its final
-  // identifier names the mutex (`Mu`, `this->Mu`, `Shard.Mu`).
-  std::string Mutex;
-  for (size_t I = Paren + 1; I < CloseAt; ++I) {
-    if (isPunct(T[I], ","))
-      break;
-    if (T[I].TokenKind == Token::Kind::Identifier)
-      Mutex = T[I].Text;
-  }
-  for (size_t I = Paren + 1; I < CloseAt; ++I)
-    if (isIdent(T[I], "defer_lock"))
-      return std::string();
-  return Mutex;
-}
-
-void rap::lint::transferLocks(const std::vector<Token> &T, const Action &A,
-                              FactSet &Held) {
-  if (A.ActionKind == Action::Kind::Decl) {
-    std::string Mutex = lockDeclMutex(T, A.Begin, A.End);
-    if (!Mutex.empty())
-      Held.insert(Mutex);
-    return;
-  }
-  if (A.ActionKind == Action::Kind::ScopeEnd) {
-    // RAII: locks declared directly in the ending compound release.
-    if (!A.S)
-      return;
-    for (const auto &Child : A.S->Children) {
-      if (Child->Kind != StmtKind::Decl)
-        continue;
-      std::string Mutex =
-          lockDeclMutex(T, Child->ExprBegin, Child->ExprEnd);
-      if (!Mutex.empty())
-        Held.erase(Mutex);
-    }
-    return;
-  }
-  // Manual m.lock() / m.unlock().
-  for (size_t I = A.Begin; I + 3 < A.End + 1 && I + 3 < T.size(); ++I) {
-    if (I + 3 >= A.End)
-      break;
-    if (T[I].TokenKind != Token::Kind::Identifier ||
-        !(isPunct(T[I + 1], ".") || isPunct(T[I + 1], "->")))
-      continue;
-    if (!isPunct(T[I + 3], "("))
-      continue;
-    if (isIdent(T[I + 2], "lock"))
-      Held.insert(T[I].Text);
-    else if (isIdent(T[I + 2], "unlock"))
-      Held.erase(T[I].Text);
-  }
-}
-
-bool rap::lint::looksLikeStatusName(const std::string &Name) {
-  static const std::vector<std::string> Prefixes = {
-      "try",      "init",    "open",     "close",    "flush",
-      "finish",   "write",   "read",     "load",     "save",
-      "verify",   "check",   "parse",    "apply",    "commit",
-      "validate", "serialize", "deserialize", "start", "stop",
-      "finalize", "run",     "snapshot", "restore",  "recover",
-      "configure"};
-  std::string Lower;
-  for (char C : Name)
-    Lower += static_cast<char>(std::tolower(static_cast<unsigned char>(C)));
-  for (const std::string &P : Prefixes)
-    if (Lower.rfind(P, 0) == 0)
-      return true;
-  return false;
-}
+} // namespace
 
 bool rap::lint::isStatusReturn(const Signature &Sig) {
   if (Sig.Name.rfind("operator", 0) == 0)
@@ -833,7 +704,6 @@ void rap::lint::runFlowRules(const std::string &Path, const LexedSource &Src,
     runUseAfterMove(Path, Src, Parsed, G, Out);
     if (InCore)
       runCounterEscape(Path, Src, Parsed, *Fn, G, Out);
-    runLockDiscipline(Path, Src, Parsed, *Fn, G, Out);
   }
 }
 
@@ -872,18 +742,6 @@ const std::vector<RuleInfo> &rap::lint::flowRuleInfos() {
        "deliberately exempt (deltas are bounded), as are locals cast "
        "into double/float. Fix: saturatingAdd/saturatingMul from "
        "support/BitUtils.h."},
-      {"lock-discipline",
-       "RAP_GUARDED_BY variables are only touched with their mutex held; "
-       "RAP_REQUIRES states a caller-held precondition",
-       "Flow rule (must-analysis over the CFG). Annotate shared state "
-       "with RAP_GUARDED_BY(Mu) (support/Annotations.h); the rule "
-       "verifies every access happens with Mu held on EVERY incoming "
-       "path, where holding is a lock_guard/unique_lock/scoped_lock "
-       "scope, a manual Mu.lock(), or the function being annotated "
-       "RAP_REQUIRES(Mu). This is the gate for the ROADMAP's sharded "
-       "profiler: annotate first, and the linter keeps the discipline "
-       "honest before a data race ever runs. Under Clang the macros "
-       "also enable -Wthread-safety."},
   };
   return Rules;
 }

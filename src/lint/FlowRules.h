@@ -6,7 +6,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The four CFG/dataflow rules of rap_lint v2 (see
+/// The three CFG/dataflow rules of rap_lint v2 (see
 /// docs/STATIC_ANALYSIS.md):
 ///
 ///   unchecked-status  a call whose bool/rap_status result is dropped,
@@ -16,11 +16,8 @@
 ///   counter-escape    a value loaded from a saturating counter field
 ///                     reaching raw + / * arithmetic instead of the
 ///                     BitUtils.h helpers (core/ only; taint analysis)
-///   lock-discipline   RAP_GUARDED_BY variables accessed without their
-///                     mutex must-held (lock_guard/unique_lock/
-///                     scoped_lock scopes + RAP_REQUIRES entry facts)
 ///
-/// All four run per function over lint::Cfg and respect the standard
+/// All three run per function over lint::Cfg and respect the standard
 /// `rap-lint: allow(...)` suppressions (applied by the engine).
 ///
 //===----------------------------------------------------------------------===//
@@ -28,56 +25,21 @@
 #ifndef RAP_LINT_FLOWRULES_H
 #define RAP_LINT_FLOWRULES_H
 
-#include "lint/Cfg.h"
-#include "lint/Dataflow.h"
 #include "lint/Lexer.h"
 #include "lint/Lint.h"
 #include "lint/Parser.h"
 
-#include <set>
 #include <string>
 #include <vector>
 
 namespace rap {
 namespace lint {
 
-/// Whether \p Name reads like a fallible operation, so a bool return
-/// is a status code rather than a predicate (isEmpty, hasNode, ...).
-bool looksLikeStatusName(const std::string &Name);
-
-/// RAII lock-holder class names the lock rules recognize.
-const std::set<std::string> &lockClasses();
-
-/// Extracts the mutex locked by the RAII declaration in the token
-/// range [Begin, End) of \p T, or "" when there is none (deferred
-/// locks also yield "").
-std::string lockDeclMutex(const std::vector<Token> &T, size_t Begin,
-                          size_t End);
-
-/// Applies one action's lock effects to the held set: RAII lock
-/// declarations acquire, the end of the declaring compound releases,
-/// and manual m.lock()/m.unlock() calls toggle. Shared by the local
-/// lock-discipline rule and the interprocedural concurrency pass.
-void transferLocks(const std::vector<Token> &T, const Action &A,
-                   FactSet &Held);
-
-/// Resolves the callee of the call starting at token \p I: walks a
-/// qualifier/member chain and returns the identifier directly before
-/// a `(`, or empty. \p Next receives the index of that `(`.
-std::string calleeAt(const std::vector<Token> &T, size_t I, size_t End,
-                     size_t &Next);
-
-/// Names bound inside \p Fn: its parameters plus every locally
-/// declared variable. A bare use of such a name is that binding, not
-/// a namespace-scope variable or class field of the same name.
-FactSet collectShadowedNames(const std::vector<Token> &T, const Function &Fn,
-                             const Cfg &G);
-
 /// Whether \p Sig returns a status the caller must not drop: any
 /// rap_status, or a non-pointer bool on a status-named function.
 bool isStatusReturn(const Signature &Sig);
 
-/// Runs the four flow rules over one parsed file. \p InCore gates
+/// Runs the three flow rules over one parsed file. \p InCore gates
 /// counter-escape. Findings are appended unsuppressed; the engine
 /// applies allow() markers afterwards.
 void runFlowRules(const std::string &Path, const LexedSource &Src,

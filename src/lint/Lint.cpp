@@ -8,7 +8,6 @@
 #include "lint/Lint.h"
 
 #include "lint/ApiAudit.h"
-#include "lint/Concurrency.h"
 #include "lint/FlowRules.h"
 #include "lint/Lexer.h"
 #include "lint/Parser.h"
@@ -468,13 +467,13 @@ const std::vector<RuleInfo> &tokenRuleInfos() {
 
 const std::vector<RuleInfo> &rap::lint::allRules() {
   // Composed from the per-module registries (FlowRules.cpp,
-  // ApiAudit.cpp, Concurrency.cpp) so a module cannot emit a rule id
+  // ApiAudit.cpp) so a module cannot emit a rule id
   // that --list-rules, --explain and the allow()-marker validation do
   // not know about.
   static const std::vector<RuleInfo> Rules = [] {
     std::vector<RuleInfo> R = tokenRuleInfos();
     for (const std::vector<RuleInfo> *Part :
-         {&flowRuleInfos(), &apiAuditRuleInfos(), &concurrencyRuleInfos()})
+         {&flowRuleInfos(), &apiAuditRuleInfos()})
       R.insert(R.end(), Part->begin(), Part->end());
     return R;
   }();

@@ -67,7 +67,6 @@ public:
       : Src(Source), T(Source.Tokens) {}
 
   ParsedFile run() {
-    collectGuardedVars();
     scanDeclScope(0, T.size(), /*AtClassScope=*/false);
     return std::move(Out);
   }
@@ -115,40 +114,6 @@ private:
       }
     }
     return I + 1;
-  }
-
-  //===--------------------------------------------------------------===//
-  // Annotations
-  //===--------------------------------------------------------------===//
-
-  /// `var RAP_GUARDED_BY(mutex)` anywhere in the file: the guarded
-  /// variable is the identifier immediately before the macro.
-  void collectGuardedVars() {
-    for (size_t I = 1; I + 2 < T.size(); ++I) {
-      if (!isIdent(T[I], "RAP_GUARDED_BY") || !isPunct(T[I + 1], "(") ||
-          T[I + 2].TokenKind != Token::Kind::Identifier)
-        continue;
-      if (T[I - 1].TokenKind != Token::Kind::Identifier)
-        continue;
-      Out.GuardedVars.emplace_back(T[I - 1].Text, T[I + 2].Text);
-    }
-  }
-
-  /// Collects `RAP_REQUIRES(m1, m2)` mutex names from the specifier
-  /// region [Begin, End).
-  std::vector<std::string> collectRequires(size_t Begin, size_t End) const {
-    std::vector<std::string> Locks;
-    for (size_t I = Begin; I < End; ++I) {
-      if (!isIdent(T[I], "RAP_REQUIRES") || I + 1 >= End ||
-          !isPunct(T[I + 1], "("))
-        continue;
-      size_t Close = skipMatched(I + 1, End, "(", ")");
-      for (size_t J = I + 2; J + 1 < Close; ++J)
-        if (T[J].TokenKind == Token::Kind::Identifier)
-          Locks.push_back(T[J].Text);
-      I = Close - 1;
-    }
-    return Locks;
   }
 
   //===--------------------------------------------------------------===//
@@ -295,7 +260,6 @@ private:
     Fn->Line = T[ParamOpen].Line;
     Fn->ParamBegin = ParamOpen + 1;
     Fn->ParamEnd = ParamClose;
-    Fn->RequiredLocks = collectRequires(ParamClose, BodyOpen);
     size_t BodyCursor = BodyOpen;
     Fn->Body = parseCompound(BodyCursor, End);
     Out.Functions.push_back(std::move(Fn));

@@ -10,9 +10,7 @@
 /// recovers just enough structure for flow-aware rules: function
 /// definitions (including lambdas and class methods), the statement
 /// tree inside each body (compounds, branches, loops, switch labels,
-/// goto/label, try/catch), per-file function signatures, and the
-/// RAP_GUARDED_BY / RAP_REQUIRES annotations from
-/// support/Annotations.h.
+/// goto/label, try/catch), and per-file function signatures.
 ///
 /// Like the lexer it is not a compiler front end: declarations it
 /// cannot classify degrade to opaque expression statements, and a
@@ -76,7 +74,6 @@ struct Function {
   std::string Name; ///< Unqualified; lambdas get "<lambda@LINE>".
   unsigned Line = 0;
   size_t ParamBegin = 0, ParamEnd = 0; ///< Tokens inside the parens.
-  std::vector<std::string> RequiredLocks; ///< From RAP_REQUIRES(...).
   bool IsLambda = false;
   std::unique_ptr<Stmt> Body; ///< Always a Compound.
 };
@@ -96,8 +93,6 @@ struct Signature {
 struct ParsedFile {
   std::vector<std::unique_ptr<Function>> Functions; ///< Incl. lambdas.
   std::vector<Signature> Signatures;
-  /// (variable, mutex) pairs from `var RAP_GUARDED_BY(mutex)` uses.
-  std::vector<std::pair<std::string, std::string>> GuardedVars;
   /// Token ranges of lambda bodies, so expression scans over an
   /// enclosing statement can mask out nested-function tokens.
   std::vector<std::pair<size_t, size_t>> LambdaBodies;

@@ -1,4 +1,4 @@
-//===- support/Annotations.h - Lock-discipline annotations ----*- C++ -*-===//
+//===- support/Annotations.h - Lock annotations ----------------*- C++ -*-===//
 //
 // Part of the RAP reproduction of "Profiling over Adaptive Ranges"
 // (Mysore et al., CGO 2006). MIT license.
@@ -6,31 +6,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Source annotations for the concurrency discipline the upcoming
-/// sharded/async profiler work depends on. They are checked twice:
-///
-///   * statically by rap_lint's flow and interprocedural concurrency
-///     rules (`lock-discipline`, `guarded-by`, `lock-order`), which
-///     verify every access to a `RAP_GUARDED_BY(m)` variable happens
-///     under a `lock_guard`/`unique_lock`/`scoped_lock` over `m` (or
-///     on a call chain that provably holds it / is annotated
-///     `RAP_REQUIRES(m)`), and that observed lock acquisitions respect
-///     every declared `RAP_ACQUIRED_BEFORE` order, and
-///   * by Clang's -Wthread-safety analysis, since under Clang the
-///     per-declaration macros expand to the corresponding capability
-///     attributes.
-///
-/// On compilers without the attributes the macros expand to nothing,
-/// so annotated code stays portable; rap_lint sees the unexpanded
-/// spelling either way. Usage:
+/// The lock annotation for state shared between threads. Under Clang
+/// `RAP_GUARDED_BY(m)` expands to the `guarded_by` capability
+/// attribute, so a build with -Wthread-safety rejects any access to
+/// the variable made without `m` held. Other compilers see nothing,
+/// so annotated code stays portable; there the annotation documents
+/// the discipline and the ThreadSanitizer leg (tools/ci.sh) checks it
+/// on every path the threaded tests run. Usage:
 ///
 /// \code
 ///   std::mutex ShardMu;
 ///   uint64_t PendingEvents RAP_GUARDED_BY(ShardMu);
-///
-///   void drainLocked() RAP_REQUIRES(ShardMu);   // caller holds ShardMu
-///
-///   RAP_ACQUIRED_BEFORE(GlobalMu, ShardMu); // GlobalMu locks first
 /// \endcode
 ///
 //===----------------------------------------------------------------------===//
@@ -42,41 +28,11 @@
 #if __has_attribute(guarded_by)
 #define RAP_GUARDED_BY(mutex) __attribute__((guarded_by(mutex)))
 #endif
-#if __has_attribute(exclusive_locks_required)
-#define RAP_REQUIRES(mutex) __attribute__((exclusive_locks_required(mutex)))
-#endif
 #endif
 
 /// The variable may only be read or written while \p mutex is held.
 #ifndef RAP_GUARDED_BY
 #define RAP_GUARDED_BY(mutex)
-#endif
-
-/// The function may only be called while \p mutex is already held; it
-/// neither acquires nor releases it.
-#ifndef RAP_REQUIRES
-#define RAP_REQUIRES(mutex)
-#endif
-
-/// Declares the intended acquisition order of two or more locks: on
-/// any path that holds two of them, the one listed earlier must be
-/// taken first (a chain declares each consecutive pair). Checked by
-/// rap_lint's `lock-order` rule against every acquisition it can see
-/// (including through call chains); an observed inversion or any
-/// cycle through declared and observed edges is reported as a
-/// potential deadlock.
-///
-/// This is a standalone declaration (class, namespace, or function
-/// scope), not a variable attribute, because the orders worth
-/// declaring here relate locks on *different* objects — a global
-/// combiner mutex before every element of a per-shard mutex array —
-/// which Clang's `acquired_before` attribute cannot name. It expands
-/// to a static_assert so the declaration compiles everywhere and
-/// misspelled identifiers still surface through rap_lint (which reads
-/// the unexpanded spelling).
-#ifndef RAP_ACQUIRED_BEFORE
-#define RAP_ACQUIRED_BEFORE(first, ...)                                        \
-  static_assert(true, "lock order: " #first " before " #__VA_ARGS__)
 #endif
 
 #endif // RAP_SUPPORT_ANNOTATIONS_H

@@ -30,6 +30,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 using namespace rap;
@@ -208,3 +209,20 @@ INSTANTIATE_TEST_SUITE_P(
     // arena-vs-reference equivalence sweep.
     testing::ValuesIn(standardSweep()),
     paramName);
+
+TEST(SweepSampler, PrintsParamFieldsNotBytes) {
+  // The printed form is what gtest lists after `# GetParam() =`; it
+  // must name the fields, not dump the struct's bytes and padding.
+  SweepParam P;
+  P.Index = 7;
+  P.Epsilon = 0.0625;
+  P.BranchFactor = 4;
+  P.RangeBits = 32;
+  P.MergeRatio = 2.5;
+  P.StreamSeed = 0x5eed;
+  P.Kind = StreamKind::Zipf;
+  EXPECT_EQ(testing::PrintToString(P),
+            std::to_string(sizeof(SweepParam)) +
+                "-byte object {c07 eps=0.0625 b=4 bits=32 q=2.5 "
+                "seed=0x0000000000005eed Zipf}");
+}

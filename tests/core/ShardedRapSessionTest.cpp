@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -181,7 +182,7 @@ TEST(ShardedRapSession, ConcurrentCombinesAndQueriesStayConsistent) {
   // Ingest threads race a dedicated combiner/query thread; every
   // intermediate numEvents() read must be a value between 0 and the
   // final total (exactness holds at every instant, not just at the
-  // end). Under TSan this is the main lock-discipline workload.
+  // end).
   const unsigned NumThreads = 3;
   const size_t PerThread = 15000;
   const uint64_t Total = uint64_t(NumThreads) * PerThread;
@@ -322,5 +323,103 @@ TEST(ShardedRapSession, ConcurrentTopKUnderIngestStaysSound) {
   std::vector<TopKRange> Final = Session.topKRanges(4);
   ASSERT_FALSE(Final.empty());
   EXPECT_LE(Final[0].UpperWeight, FinalTotal);
+  EXPECT_EQ(Session.totalEvents(), FinalTotal);
+}
+
+TEST(ShardedRapSession, ReaderQueriesRaceWatermarkCombines) {
+  // TSan workload for every query: three writers ingest with a small
+  // watermark, so combines land all the time, while one reader runs a
+  // stretch of back-to-back calls to each query in turn. A stretch
+  // lasts until the writers have ingested Window more events, enough
+  // for at least one combine, so a query that reads a tree without
+  // its lock races that combine: TSan reports it and the leg fails.
+  // The writers' progress is a relaxed counter, which orders nothing
+  // and so cannot hide the race. Plain builds check that every answer
+  // is sane: bounded by the final total, and monotone where the
+  // session promises it.
+  ShardedRapSession Session(sessionConfig(), 4, /*CombineEvery=*/256);
+  const unsigned Writers = 3;
+  const size_t EventsPerWriter = 20000;
+  const uint64_t FinalTotal = Writers * EventsPerWriter;
+  const uint64_t Window = 2048;
+  std::atomic<uint64_t> Ingested{0};
+  std::atomic<bool> Done{false};
+  std::vector<std::string> Faults;
+  std::thread Reader([&]() {
+    uint64_t LastTotal = 0, LastCombines = 0;
+    bool HotSeen = false;
+    auto Check = [&Faults](bool Ok, const char *What) {
+      if (!Ok && Faults.size() < 8)
+        Faults.push_back(What);
+    };
+    auto Stretch = [&](auto &&Query) {
+      uint64_t Until = Ingested.load(std::memory_order_relaxed) + Window;
+      do
+        Query();
+      while (Ingested.load(std::memory_order_relaxed) < Until &&
+             !Done.load());
+    };
+    do {
+      Stretch([&] {
+        uint64_t Total = Session.totalEvents();
+        Check(Total >= LastTotal && Total <= FinalTotal, "totalEvents");
+        LastTotal = Total;
+      });
+      Stretch([&] {
+        uint64_t Est = Session.combinedEstimate(0, 0x0fff);
+        Check(Est <= FinalTotal, "combinedEstimate");
+        HotSeen = HotSeen || Est > 0;
+      });
+      Stretch([&] {
+        RapTree::RangeBounds B =
+            Session.combinedEstimateBounds(0x0800, 0x7fff);
+        Check(B.Lower <= B.Upper && B.Upper <= FinalTotal,
+              "combinedEstimateBounds");
+      });
+      Stretch([&] {
+        // Weight never leaves the combined tree, so once the hot range
+        // has been seen there it can never be provably cold again.
+        bool Cold = Session.combinedRangeProvablyCold(0, 0x0fff);
+        Check(!(HotSeen && Cold), "combinedRangeProvablyCold");
+      });
+      Stretch([&] {
+        for (const HotRange &H : Session.combinedHotRanges(0.25))
+          Check(H.Lo <= H.Hi && H.ExclusiveWeight <= H.SubtreeWeight &&
+                    H.SubtreeWeight <= FinalTotal,
+                "combinedHotRanges");
+      });
+      Stretch([&] {
+        std::vector<TopKRange> Top = Session.topKRanges(4);
+        for (size_t J = 0; J != Top.size(); ++J)
+          Check(Top[J].Lo <= Top[J].Hi &&
+                    Top[J].LowerWeight <= Top[J].UpperWeight &&
+                    Top[J].UpperWeight <= FinalTotal &&
+                    (J == 0 || Top[J - 1].Retained >= Top[J].Retained),
+                "topKRanges");
+      });
+      Stretch([&] {
+        uint64_t Combines = Session.numCombines();
+        Check(Combines >= LastCombines, "numCombines");
+        LastCombines = Combines;
+      });
+      Stretch([&] { Check(Session.combinedNodes() >= 1, "combinedNodes"); });
+    } while (!Done.load());
+  });
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Writers; ++T)
+    Threads.emplace_back([&Session, &Ingested, T]() {
+      for (uint64_t X : threadStream(40 + T, EventsPerWriter)) {
+        Session.ingest(X);
+        Ingested.fetch_add(1, std::memory_order_relaxed);
+      }
+    });
+  for (std::thread &Th : Threads)
+    Th.join();
+  Done.store(true);
+  Reader.join();
+  for (const std::string &What : Faults)
+    ADD_FAILURE() << "insane answer from " << What;
+  EXPECT_GE(Session.numCombines(), FinalTotal / (8 * 256))
+      << "the watermark should have combined throughout the run";
   EXPECT_EQ(Session.totalEvents(), FinalTotal);
 }

@@ -28,6 +28,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -58,6 +59,24 @@ inline std::string kindName(StreamKind Kind) {
     return "Clustered";
   }
   return "?";
+}
+
+/// gtest's printer for a sweep point, used in failure messages and in
+/// the `# GetParam() = ...` suffix of every listed test name. Without
+/// it gtest dumps the struct's raw bytes, padding included, so two
+/// builds of one tree could list different names. The fields are
+/// printed after gtest's own `N-byte object` head, which keeps the
+/// leading part of each existing ctest name unchanged.
+inline void PrintTo(const SweepParam &P, std::ostream *Os) {
+  char Buffer[160];
+  std::snprintf(Buffer, sizeof(Buffer),
+                "%zu-byte object {c%02u eps=%.6g b=%u bits=%u q=%.6g "
+                "seed=0x%016llx %s}",
+                sizeof(SweepParam), P.Index, P.Epsilon, P.BranchFactor,
+                P.RangeBits, P.MergeRatio,
+                static_cast<unsigned long long>(P.StreamSeed),
+                kindName(P.Kind).c_str());
+  *Os << Buffer;
 }
 
 inline std::string paramName(const testing::TestParamInfo<SweepParam> &Info) {

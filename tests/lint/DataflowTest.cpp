@@ -3,9 +3,8 @@
 // Part of the RAP reproduction of "Profiling over Adaptive Ranges"
 // (Mysore et al., CGO 2006). MIT license.
 //
-// The forward solver underpins every flow rule and now the
-// interprocedural concurrency pass, so its convergence on ugly
-// graphs is load-bearing. These tests target the shapes reducible-
+// The forward solver underpins every flow rule, so its convergence
+// on ugly graphs is load-bearing. These tests target the shapes reducible-
 // loop intuition gets wrong: goto jumping into the middle of a loop
 // body (two loop entries — an irreducible region), switch
 // fallthrough chains inside loops, and goto-formed back edges. Each

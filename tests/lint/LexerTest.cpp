@@ -225,8 +225,8 @@ TEST(LintLexerPrefix, PrefixedRawString) {
 
 TEST(LintLexerPrefix, PrefixedCharLiteralsAreNotIdentifiers) {
   // u8'c' / u'c' / U'c' / L'c' must not leak a bogus identifier token
-  // in front of the literal (the interprocedural pass matches callees
-  // and mutex names by identifier, so strays corrupt its input).
+  // in front of the literal (the flow rules match callees by
+  // identifier, so strays corrupt their input).
   std::vector<std::string> Tokens =
       spellings("g(u8'a', u'b', U'c', L'd');");
   ASSERT_EQ(Tokens.size(), 11u);

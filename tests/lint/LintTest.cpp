@@ -15,7 +15,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "lint/ApiAudit.h"
-#include "lint/Concurrency.h"
 #include "lint/Lexer.h"
 #include "lint/Lint.h"
 
@@ -355,14 +354,13 @@ TEST(LintRegistry, RuleIdsAreUniqueAndExplainable) {
     EXPECT_NE(std::string(R.Summary), "") << R.Id;
     EXPECT_NE(std::string(R.Explanation), "") << R.Id;
   }
-  // The v1 token rules, the v2 flow rules, the API audit and the v3
-  // concurrency pass, and nothing else (docs/STATIC_ANALYSIS.md).
+  // The v1 token rules, the v2 flow rules and the API audit, and
+  // nothing else (docs/STATIC_ANALYSIS.md).
   const std::set<std::string> Catalog = {
       "counter-arithmetic", "capi-exception-tight", "nondeterminism",
       "hot-path-io",        "include-guard",        "unchecked-status",
-      "use-after-move",     "counter-escape",       "lock-discipline",
-      "api-odr",            "api-capi-coverage",    "api-include-drift",
-      "lock-order",         "guarded-by",           "atomic-misuse"};
+      "use-after-move",     "counter-escape",       "api-odr",
+      "api-capi-coverage",  "api-include-drift"};
   EXPECT_EQ(Seen, Catalog);
 }
 
@@ -383,16 +381,10 @@ TEST(LintRegistry, EveryEmittedRuleIdHasARegistryEntry) {
     Add(lintFixture(C.Fixture, C.VirtualPath));
   for (const char *Flow : {"src/trace/f1_unchecked_violate.cpp",
                            "src/support/f2_move_violate.cpp",
-                           "src/core/f3_escape_violate.cpp",
-                           "src/support/f4_lock_violate.cpp"}) {
+                           "src/core/f3_escape_violate.cpp"}) {
     std::string Path = Flow;
     Add(lintFixture(Path.substr(Path.rfind('/') + 1), Path));
   }
-  for (const char *Ip : {"ip1_lockorder_violate.cpp",
-                         "ip2_guardedby_violate.cpp",
-                         "ip3_atomic_violate.cpp"})
-    Add(runConcurrencyAudit(
-        {{std::string("src/core/") + Ip, readFixture(Ip)}}));
   Add(runApiAudit({{"src/core/Odr.h", "int f() { return 1; }\n"}}));
 
   ASSERT_FALSE(All.empty());
@@ -404,5 +396,5 @@ TEST(LintRegistry, EveryEmittedRuleIdHasARegistryEntry) {
   }
   // Every fixture family reached its rule (all but the two api-audit
   // rules no fixture here drives).
-  EXPECT_EQ(Emitted.size(), 13u);
+  EXPECT_EQ(Emitted.size(), 9u);
 }

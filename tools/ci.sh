@@ -29,16 +29,17 @@
 #      resume deep in the previous update's path, under the legacy
 #      root-descending cross-check)
 #   5. ThreadSanitizer build + the `concurrency` ctest label (the
-#      threaded ShardedRapSession suite and rap_fuzz_sharded_budget)
-#      plus a 25-episode sharded fuzz slice — concurrent ingest
-#      threads racing the watermark combiner under TSan
-#   6. rap_lint (flow rules, interprocedural concurrency rules, and
-#      the cross-TU API audit) over src/ and tools/ against
-#      tools/lint_baseline.txt, merged SARIF report to
-#      build/lint.sarif
+#      threaded ShardedRapSession suite, rap_fuzz_sharded_budget and
+#      the WILL_FAIL tsan_lock_order_probe) plus a 25-episode sharded
+#      fuzz slice — concurrent ingest threads and a reader racing the
+#      watermark combiner under TSan. This is the session's lock
+#      check: a data race or a lock-order inversion fails the step,
+#      on every path the threaded tests run
+#   6. rap_lint (token rules, flow rules, and the cross-TU API audit)
+#      over src/ and tools/ against tools/lint_baseline.txt, merged
+#      SARIF report to build/lint.sarif
 #   7. when clang++ is installed: a clang build of rap_core with
-#      -Wthread-safety, the independent check of the same lock
-#      annotations rap_lint verifies
+#      -Wthread-safety, a static check of every RAP_GUARDED_BY access
 #   8. perfbench: the end-to-end benchmark (perfbench/CMakeLists.txt,
 #      which compiles the profiler straight from src/) configured into
 #      its own build-perfbench/ tree, built, and its helper self-tests
@@ -112,10 +113,10 @@ step "rap_lint + api-audit (SARIF report: build/lint.sarif)"
 ./build/tools/rap_lint --root=. --api-audit \
     --baseline=tools/lint_baseline.txt src tools
 
-# Clang's -Wthread-safety reads the same RAP_GUARDED_BY /
-# RAP_REQUIRES / RAP_ACQUIRED_BEFORE annotations rap_lint checks, so
-# a clang install buys a second independent verifier for free. The
-# container CI image ships only g++; skip quietly when absent.
+# Clang's -Wthread-safety checks every RAP_GUARDED_BY access
+# statically, including lock paths no threaded test runs, which TSan
+# (step 5) cannot see. The container CI image ships only g++; skip
+# quietly when absent.
 if command -v clang++ >/dev/null 2>&1; then
   step "clang -Wthread-safety build (independent annotation check)"
   cmake -B build-ctsa -S . -DCMAKE_CXX_COMPILER=clang++ \

@@ -27,7 +27,6 @@
 //===----------------------------------------------------------------------===//
 
 #include "lint/ApiAudit.h"
-#include "lint/Concurrency.h"
 #include "lint/FlowRules.h"
 #include "lint/Lexer.h"
 #include "lint/Lint.h"
@@ -105,11 +104,9 @@ int main(int Argc, char **Argv) {
   ArgParse Args("rap_lint",
                 "Project-specific static analysis for the RAP tree: "
                 "saturating-counter discipline, exception-tight C API, "
-                "determinism, hot-path IO, include-guard hygiene, the "
+                "determinism, hot-path IO, include-guard hygiene, and the "
                 "v2 flow rules (unchecked-status, use-after-move, "
-                "counter-escape, lock-discipline), and the v3 "
-                "interprocedural concurrency pass (lock-order, guarded-by, "
-                "atomic-misuse).");
+                "counter-escape).");
   Args.addString("root", ".",
                  "repository root; paths are reported relative to it");
   Args.addString("format", "text", "report format: text, json or sarif");
@@ -122,10 +119,6 @@ int main(int Argc, char **Argv) {
   Args.addBool("api-audit",
                "also run the cross-TU checks (api-odr, api-capi-coverage, "
                "api-include-drift) over the scanned set");
-  Args.addBool("no-concurrency",
-               "skip the interprocedural concurrency pass (lock-order, "
-               "guarded-by, atomic-misuse) and keep the per-function "
-               "lock-discipline findings instead");
   Args.addBool("list-rules", "print the rule catalog and exit");
   Args.addBool("quiet", "suppress the summary line on stderr");
   Args.allowPositional("paths",
@@ -212,11 +205,6 @@ int main(int Argc, char **Argv) {
         Ctx.StatusFunctions.insert(Sig.Name);
   }
 
-  std::vector<lint::AuditFile> AuditInputs;
-  AuditInputs.reserve(Inputs.size());
-  for (const Input &In : Inputs)
-    AuditInputs.push_back({In.Rel, In.Content});
-
   std::vector<lint::Finding> Findings;
   for (const Input &In : Inputs) {
     std::vector<lint::Finding> FileFindings =
@@ -225,22 +213,12 @@ int main(int Argc, char **Argv) {
   }
 
   if (Args.getBool("api-audit")) {
+    std::vector<lint::AuditFile> AuditInputs;
+    AuditInputs.reserve(Inputs.size());
+    for (const Input &In : Inputs)
+      AuditInputs.push_back({In.Rel, In.Content});
     std::vector<lint::Finding> Audit = lint::runApiAudit(AuditInputs);
     Findings.insert(Findings.end(), Audit.begin(), Audit.end());
-  }
-
-  if (!Args.getBool("no-concurrency")) {
-    // The interprocedural guarded-by proof subsumes the per-function
-    // lock-discipline approximation (it additionally accepts accesses
-    // whose mutex every observed caller holds), so the local findings
-    // are dropped in favor of the whole-tree pass.
-    Findings.erase(std::remove_if(Findings.begin(), Findings.end(),
-                                  [](const lint::Finding &F) {
-                                    return F.RuleId == "lock-discipline";
-                                  }),
-                   Findings.end());
-    std::vector<lint::Finding> Conc = lint::runConcurrencyAudit(AuditInputs);
-    Findings.insert(Findings.end(), Conc.begin(), Conc.end());
   }
 
   std::sort(Findings.begin(), Findings.end(),
