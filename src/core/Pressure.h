@@ -52,9 +52,9 @@ struct TreePressure {
   uint64_t CoarsenLevel = 0;
 
   /// Total event weight pushed outside the eps*n guarantee: weight of
-  /// refused-split events plus weight folded upward by forced passes.
-  /// Any range estimate's extra error beyond the normal bound is at
-  /// most this (saturating).
+  /// refused-split events, weight folded upward by forced passes, and
+  /// weight past a 2^64-1 stream total. Any range estimate's extra
+  /// error beyond the normal bound is at most this (saturating).
   uint64_t DegradedWeight = 0;
 
   /// std::bad_alloc absorbed on the split path (real or injected);

@@ -13,17 +13,19 @@
 /// merges the children may cover only part of the parent (Sec 3.3).
 ///
 /// Storage is a slab arena (detail::NodeArena) rather than one heap
-/// allocation per node: all node fields live in structure-of-arrays
-/// vectors indexed by a 32-bit node id, and the children of a split
-/// node occupy one contiguous block of ids. The update path therefore
-/// descends by loading one packed navigation word per level — no
-/// pointer chasing, and child selection is a branchless shift-and-mask
-/// because every node range is aligned to its own width. The arena
-/// stores no range at all: a node's lo and width follow from the path
-/// that reaches it (a child's lo is its parent's lo plus its slot
-/// shifted by the child width the parent's navigation word holds).
-/// RapNode is therefore a value handle that carries the range it was
-/// reached with next to the arena id it reads counters through.
+/// allocation per node: a subtree sum and a navigation word per node
+/// (16 B, the paper's 128-bit node) in two vectors indexed by a 32-bit
+/// node id, and the children of a split node occupy one contiguous
+/// block of ids. The update path therefore descends by loading one
+/// packed navigation word per level — no pointer chasing, and child
+/// selection is a branchless shift-and-mask because every node range
+/// is aligned to its own width. The arena stores no range at all: a
+/// node's lo and width follow from the path that reaches it (a child's
+/// lo is its parent's lo plus its slot shifted by the child width the
+/// parent's navigation word holds). Nor does it store a node's own
+/// count (its subtree sum less its live children's). RapNode is
+/// therefore a value handle that carries the range it was reached with
+/// next to the arena id it reads sums through.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,9 +92,8 @@ public:
 
   /// Total weight of this node plus all descendants. This is the RAP
   /// estimate for the number of stream events in [lo(), hi()]; it is
-  /// always a lower bound on the true count (Sec 4.3). Saturates at
-  /// 2^64-1 like the counters themselves. O(1): a read of the arena's
-  /// eagerly maintained subtree-sum column.
+  /// always a lower bound on the true count (Sec 4.3). O(1): a read of
+  /// the arena's eagerly maintained subtree-sum column.
   uint64_t subtreeWeight() const;
 
   /// Number of nodes in this subtree including this node.
@@ -109,7 +110,7 @@ namespace detail {
 
 /// Slab storage for every node of one tree, structure-of-arrays.
 ///
-/// Node ids are 32-bit indices into three parallel vectors. The children
+/// Node ids are 32-bit indices into two parallel vectors. The children
 /// of a split node are one contiguous id block, so locating the child
 /// covering X needs only the parent's packed navigation word:
 ///
@@ -125,29 +126,30 @@ namespace detail {
 /// child inside a still-live block is only flagged dead so a later
 /// re-split revives it in place.
 ///
-/// Sums is the subtree-sum column: for every live node,
+/// Sums is the subtree-sum column, and it defines the counters:
 ///
-///   Sums[n] == Counts[n] + sum of Sums[c] over live children c
+///   count(n) == Sums[n] - sum of Sums[c] over n's child slots c
 ///
-/// (saturating at 2^64-1), so subtreeWeight() is one load and a range
-/// read only walks the two boundary paths. It is maintained eagerly:
-/// RapTree::addPoint adds the event weight on every level of its
-/// descent, fresh and revived slots start at 0 (the parent's sum is
-/// unchanged by a split), and a merge fold moves weight from a child
-/// into its parent's counter under the same parent sum, so merges
-/// leave every live entry as it was. Dead slots hold stale values.
+/// where a dead slot holds 0, so subtreeWeight() is one load and a
+/// range read only walks the two boundary paths. Every sum is exact:
+/// RapTree admits no stream total past 2^64-1 (its saturating adds
+/// never clamp). RapTree::addPoint adds the event weight on every level
+/// of its descent, and a merge fold only kills the child (zeroing its
+/// slot), whose weight the parent's sum already holds, so the parent's
+/// count rises by itself. Fresh and revived slots start at 0.
 struct NodeArena {
   static constexpr uint32_t InvalidIndex = 0xffffffffu;
   static constexpr uint64_t DeadBit = uint64_t(1) << 63;
   static constexpr uint64_t LeafNav = InvalidIndex;
   static constexpr uint64_t DeadLeafNav = LeafNav | DeadBit;
 
-  std::vector<uint64_t> Counts; ///< own counter per node.
-  std::vector<uint64_t> Sums;   ///< subtree weight per node (see above).
-  std::vector<uint64_t> Navs;   ///< packed navigation word per node.
+  std::vector<uint64_t> Sums; ///< subtree weight per node (see above).
+  std::vector<uint64_t> Navs; ///< packed navigation word per node.
 
-  /// Recycled child blocks, indexed by log2 of the block's slot count.
-  std::vector<std::vector<uint32_t>> FreeBlocks;
+  /// Heads of the recycled child-block lists, indexed by log2 of the
+  /// block's slot count. A free block's first Sums word links to the
+  /// next; 0 (the root, never in a block) ends a list.
+  uint32_t FreeHeads[64] = {};
 
   static uint32_t navFirstChild(uint64_t Nav) {
     return static_cast<uint32_t>(Nav);
@@ -184,42 +186,36 @@ struct NodeArena {
         F(First + Slot, Lo + (static_cast<uint64_t>(Slot) << Shift), Shift);
   }
 
-  /// Calls \p F with the id of every live child of \p Node, in slot
-  /// order.
-  template <typename Fn> void forEachLiveChild(uint32_t Node, Fn &&F) const {
-    forEachLiveChild(Node, 0, [&](uint32_t Child, uint64_t, unsigned) {
-      F(Child);
-    });
-  }
-
   /// Creates the root node (id 0). Its range, [0, 2^RangeBits), comes
   /// from the tree's config: no slot stores a range.
   void initRoot();
 
   /// Allocates a contiguous child block for \p Parent: 2^SlotLog2
-  /// slots of width \p ChildBits, each initialized as a zero-count
+  /// slots of width \p ChildBits, each initialized as a zero-weight
   /// leaf (dead when \p Dead, i.e. present-but-merged). Updates the
   /// parent's navigation word and returns the first child id.
   uint32_t allocChildren(uint32_t Parent, unsigned ChildBits,
                          unsigned SlotLog2, bool Dead);
 
-  /// Returns a 2^SlotLog2-slot block to the free list. Never throws:
-  /// it runs inside merge folds after counters have already moved, so
-  /// on allocation failure the block record is dropped (the slots
-  /// stay parked in the arena) rather than tearing the fold.
+  /// Returns a 2^SlotLog2-slot block to its free list. Allocates
+  /// nothing, so it cannot fail inside a merge fold.
   void freeBlock(uint32_t FirstChild, unsigned SlotLog2) noexcept;
 
-  /// Marks \p Node dead and recycles every child block beneath it.
-  /// Never throws (see freeBlock).
+  /// Marks \p Node dead (its sum 0) and recycles its child blocks.
   void killSubtree(uint32_t Node) noexcept;
 
-  uint64_t subtreeWeight(uint32_t Node) const { return Sums[Node]; }
-  uint64_t subtreeNodeCount(uint32_t Node) const;
+  /// \p Node's own count: a leaf's is its sum; an internal node's also
+  /// reads its b contiguous child sums (a dead slot's is 0).
+  uint64_t ownCount(uint32_t Node) const {
+    uint64_t Own = Sums[Node], Nav = Navs[Node];
+    if (!navIsLeaf(Nav))
+      for (uint32_t C = navFirstChild(Nav), Slots = 1u << navSlotLog2(Nav);
+           Slots != 0; ++C, --Slots)
+        Own -= Sums[C];
+    return Own;
+  }
 
-  /// Re-derives Sums for the subtree at \p Node from its counters in
-  /// one post-order pass and returns Sums[Node]. Only the bulk paths
-  /// that write counters directly (snapshot restore) need it.
-  uint64_t resum(uint32_t Node);
+  uint64_t subtreeNodeCount(uint32_t Node) const;
 
   /// Bytes reserved by the slab vectors (capacity, not size).
   uint64_t slabBytes() const;
@@ -231,7 +227,7 @@ private:
 
 } // namespace detail
 
-inline uint64_t RapNode::count() const { return Arena->Counts[Index]; }
+inline uint64_t RapNode::count() const { return Arena->ownCount(Index); }
 
 inline bool RapNode::hasChildren() const {
   return !detail::NodeArena::navIsLeaf(Arena->Navs[Index]);
@@ -255,9 +251,7 @@ inline std::optional<RapNode> RapNode::child(unsigned Slot) const {
                  Shift);
 }
 
-inline uint64_t RapNode::subtreeWeight() const {
-  return Arena->subtreeWeight(Index);
-}
+inline uint64_t RapNode::subtreeWeight() const { return Arena->Sums[Index]; }
 
 inline uint64_t RapNode::subtreeNodeCount() const {
   return Arena->subtreeNodeCount(Index);

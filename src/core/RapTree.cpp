@@ -42,15 +42,13 @@ static_assert(RapTree::BytesPerNode == 16,
 
 void NodeArena::initRoot() {
   assert(Navs.empty() && "root already created");
-  Counts.push_back(0);
   Sums.push_back(0);
   Navs.push_back(LeafNav);
 }
 
 uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
-  if (SlotLog2 < FreeBlocks.size() && !FreeBlocks[SlotLog2].empty()) {
-    uint32_t First = FreeBlocks[SlotLog2].back();
-    FreeBlocks[SlotLog2].pop_back();
+  if (uint32_t First = FreeHeads[SlotLog2]) {
+    FreeHeads[SlotLog2] = static_cast<uint32_t>(Sums[First]);
     return First;
   }
   if (RAP_FAILPOINT_HIT(failpoints::Fp::ArenaAlloc))
@@ -58,16 +56,12 @@ uint32_t NodeArena::allocBlock(unsigned SlotLog2) {
   size_t NumSlots = size_t(1) << SlotLog2;
   size_t Old = Navs.size();
   assert(Old + NumSlots < InvalidIndex && "arena exceeds 32-bit node ids");
-  // Grow all three slabs under a rollback guard: if any later growth
-  // throws, the earlier ones shrink back so the arena never exposes a
-  // half-grown slot range (shrinking never throws for these element
-  // types).
+  // Grow both slabs under a rollback guard (shrinking never throws),
+  // so the arena never exposes a half-grown slot range.
   try {
-    Counts.resize(Old + NumSlots);
     Sums.resize(Old + NumSlots);
     Navs.resize(Old + NumSlots);
   } catch (...) {
-    Counts.resize(Old);
     Sums.resize(Old);
     Navs.resize(Old);
     throw;
@@ -82,7 +76,6 @@ uint32_t NodeArena::allocChildren(uint32_t Parent, unsigned ChildBits,
   uint64_t InitNav = Dead ? DeadLeafNav : LeafNav;
   size_t NumSlots = size_t(1) << SlotLog2;
   for (size_t Child = First; Child != First + NumSlots; ++Child) {
-    Counts[Child] = 0;
     Sums[Child] = 0;
     Navs[Child] = InitNav;
   }
@@ -91,16 +84,8 @@ uint32_t NodeArena::allocChildren(uint32_t Parent, unsigned ChildBits,
 }
 
 void NodeArena::freeBlock(uint32_t FirstChild, unsigned SlotLog2) noexcept {
-  // Growing the free list can itself fail under memory pressure, and
-  // this runs inside merge folds after counters have already moved up:
-  // dropping the record (parking the slots forever) is safe, throwing
-  // would double-count the fold.
-  try {
-    if (FreeBlocks.size() <= SlotLog2)
-      FreeBlocks.resize(SlotLog2 + 1);
-    FreeBlocks[SlotLog2].push_back(FirstChild);
-  } catch (const std::bad_alloc &) {
-  }
+  Sums[FirstChild] = FreeHeads[SlotLog2];
+  FreeHeads[SlotLog2] = FirstChild;
 }
 
 void NodeArena::freeDescendants(uint32_t Node) noexcept {
@@ -122,21 +107,14 @@ void NodeArena::freeDescendants(uint32_t Node) noexcept {
 void NodeArena::killSubtree(uint32_t Node) noexcept {
   freeDescendants(Node);
   Navs[Node] = DeadLeafNav;
-  Counts[Node] = 0;
-}
-
-uint64_t NodeArena::resum(uint32_t Node) {
-  uint64_t Total = Counts[Node];
-  forEachLiveChild(Node, [&](uint32_t Child) {
-    Total = saturatingAdd(Total, resum(Child));
-  });
-  return Sums[Node] = Total;
+  Sums[Node] = 0;
 }
 
 uint64_t NodeArena::subtreeNodeCount(uint32_t Node) const {
   uint64_t Total = 1;
-  forEachLiveChild(Node,
-                   [&](uint32_t Child) { Total += subtreeNodeCount(Child); });
+  forEachLiveChild(Node, 0, [&](uint32_t Child, uint64_t, unsigned) {
+    Total += subtreeNodeCount(Child);
+  });
   return Total;
 }
 
@@ -145,7 +123,7 @@ uint64_t NodeArena::slabBytes() const {
     return ((static_cast<uint64_t>(Slab.capacity()) * sizeof(Slab[0])) +
             ...);
   };
-  return Bytes(Counts, Sums, Navs);
+  return Bytes(Sums, Navs);
 }
 
 //===----------------------------------------------------------------------===//
@@ -182,32 +160,26 @@ RapTree::RapTree(const RapConfig &TreeConfig) : Config(TreeConfig) {
   }
 }
 
-uint64_t RapTree::rebuildFenceWalk(uint32_t Node, uint64_t Lo,
-                                   unsigned Width) {
-  uint64_t Warm = 0;
-  if (Arena.Counts[Node] > 0) {
-    Warm = 1;
-    if (Node != 0 && Fence.enabled())
-      Fence.markNode(Lo, Width);
-  }
+void RapTree::rebuildFenceWalk(uint32_t Node, uint64_t Lo, unsigned Width) {
+  uint64_t Children = 0;
   Arena.forEachLiveChild(
       Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
-        Warm += rebuildFenceWalk(Child, ChildLo, ChildWidth);
+        Children += Arena.Sums[Child];
+        rebuildFenceWalk(Child, ChildLo, ChildWidth);
       });
-  return Warm;
+  if (Node != 0 && Arena.Sums[Node] > Children)
+    Fence.markNode(Lo, Width);
 }
 
 void RapTree::rebuildFence() {
-  // Re-derives both the bitmap and the warm-node count from the live
-  // counters. Required after any operation that moves counters
-  // wholesale (merge folds lift child weight onto possibly-cold
-  // parents; absorb and fromNodeSet write counters directly), and
-  // doubles as a precision reset: buckets whose weight folded into
-  // the root read cold again. One O(numNodes) walk, called only from
-  // paths that already walk the whole tree.
-  if (Fence.enabled())
-    Fence.clear();
-  WarmNodes = rebuildFenceWalk(0, 0, Config.RangeBits);
+  // Re-derives the bitmap from the live counters after any operation
+  // that moves them wholesale (merge folds, absorb, fromNodeSet); also
+  // a precision reset: buckets whose weight folded into the root read
+  // cold again. One O(numNodes) walk, on paths that already walk it.
+  if (!Fence.enabled())
+    return;
+  Fence.clear();
+  rebuildFenceWalk(0, 0, Config.RangeBits);
 }
 
 std::unique_ptr<RapTree> RapTree::fromNodeSet(
@@ -229,20 +201,31 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
 
   auto Tree = std::make_unique<RapTree>(Config);
   NodeArena &Arena = Tree->Arena;
-  Arena.Counts[0] = std::get<2>(Nodes[0]);
+  Arena.Sums[0] = std::get<2>(Nodes[0]);
+  uint64_t Total = Arena.Sums[0]; // Must fit a word for exact sums.
   unsigned BitsPerLevel = Config.bitsPerLevel();
 
   // Preorder insertion: a maintained stack of the current ancestor
   // path, each entry with its range, places each node under its
-  // deepest enclosing predecessor.
+  // deepest enclosing predecessor. A node's sum, its count at first, is
+  // complete when it leaves the path, and is then added to its parent's.
   struct PathEntry {
     uint32_t Node;
     uint64_t Lo;
     unsigned Width;
   };
   std::vector<PathEntry> Path = {{0, 0, Config.RangeBits}};
+  auto PopPath = [&] {
+    uint64_t Done = Arena.Sums[Path.back().Node];
+    Path.pop_back();
+    if (!Path.empty())
+      Arena.Sums[Path.back().Node] += Done;
+  };
   for (size_t I = 1; I < Nodes.size(); ++I) {
     auto [Lo, WidthBits, Count] = Nodes[I];
+    if (Count > ~uint64_t(0) - Total)
+      return Fail("node counts sum past 2^64-1");
+    Total = saturatingAdd(Total, Count);
     if (WidthBits >= Config.RangeBits)
       return Fail("non-root node as wide as the universe");
     uint64_t Width = uint64_t(1) << WidthBits;
@@ -252,7 +235,7 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
     while (!Path.empty() &&
            !(Path.back().Lo <= Lo &&
              Hi <= Path.back().Lo + lowBitMask(Path.back().Width)))
-      Path.pop_back();
+      PopPath();
     if (Path.empty())
       return Fail("node not contained in any predecessor (not preorder)");
     auto [Parent, ParentLo, ParentWidth] = Path.back();
@@ -273,14 +256,14 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
     if (!NodeArena::navIsDead(Arena.Navs[Child]))
       return Fail("duplicate node range");
     Arena.Navs[Child] = NodeArena::LeafNav;
-    Arena.Counts[Child] = Count;
+    Arena.Sums[Child] = Count;
     Path.push_back({Child, Lo, WidthBits});
     ++Tree->NumNodes;
   }
-  // Counters were written directly: derive the subtree-sum column
-  // (whose root entry is the saturating total) before the budget pass.
-  if (Arena.resum(0) != NumEvents)
+  if (Total != NumEvents)
     return Fail("node counts do not sum to the recorded event total");
+  while (!Path.empty())
+    PopPath();
   Tree->NumEvents = NumEvents;
   Tree->MaxNumNodes = Tree->NumNodes;
   if (NextMergeAt > NumEvents || (NextMergeAt != 0 && !Config.EnableMerges)) {
@@ -309,10 +292,11 @@ std::unique_ptr<RapTree> RapTree::fromNodeSet(
 /// falls out of a shift-and-mask on X because every node's lo() is
 /// aligned to its width (no subtraction needed). \p Width enters as
 /// \p Node's widthBits and leaves as the landing node's, read off the
-/// parent's navigation word.
+/// parent's navigation word; \p AtLeaf says whether the landing node is
+/// a leaf (addPoint branching on a reload of its word ran slower).
 template <typename VisitFn>
 static uint32_t descend(const NodeArena &Arena, uint32_t Node, uint64_t X,
-                        unsigned &Width, VisitFn Visit) {
+                        unsigned &Width, bool &AtLeaf, VisitFn Visit) {
   const uint64_t *NavData = Arena.Navs.data();
   uint64_t Nav = NavData[Node];
   Visit(Node);
@@ -330,12 +314,14 @@ static uint32_t descend(const NodeArena &Arena, uint32_t Node, uint64_t X,
     Width = Shift;
     Visit(Node);
   }
+  AtLeaf = NodeArena::navIsLeaf(Nav);
   return Node;
 }
 
 uint32_t RapTree::descendIndex(uint64_t X, unsigned &Width) const {
   Width = Config.RangeBits;
-  return descend(Arena, 0, X, Width, [](uint32_t) {});
+  bool AtLeaf;
+  return descend(Arena, 0, X, Width, AtLeaf, [](uint32_t) {});
 }
 
 uint64_t RapTree::coverLo(uint64_t X, unsigned Width) const {
@@ -352,6 +338,13 @@ RapNode RapTree::findSmallestCover(uint64_t X) const {
 }
 
 void RapTree::addPoint(uint64_t X, uint64_t Weight) {
+  // No weight past a 2^64-1 stream total is admitted, so no sum (nor
+  // count) saturates; the degraded bound charges the excess.
+  uint64_t Headroom = ~uint64_t(0) - NumEvents;
+  if (Weight > Headroom)
+    Pressure.DegradedWeight =
+        saturatingAdd(Pressure.DegradedWeight, Weight - Headroom);
+  Weight = std::min(Weight, Headroom);
   // A zero-weight event carries no information; returning early keeps
   // it from perturbing the structure (the split check below fires on
   // the *current* counter value, so a zero-weight touch of a node whose
@@ -384,26 +377,22 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   }
   unsigned Step = Depth * Config.bitsPerLevel();
   unsigned Width = Step < Config.RangeBits ? Config.RangeBits - Step : 0;
-  uint32_t Node = descend(Arena, Start, X, Width,
+  bool AtLeaf;
+  uint32_t Node = descend(Arena, Start, X, Width, AtLeaf,
                           [Sums, Weight, Path = Finger, &Depth](uint32_t N) {
                             Sums[N] = saturatingAdd(Sums[N], Weight);
                             Path[Depth++] = N;
                           });
   FingerLast = Depth - 1;
   FingerKey = X;
-  uint64_t OldCount = Arena.Counts[Node];
-  uint64_t NewCount = saturatingAdd(OldCount, Weight);
-  Arena.Counts[Node] = NewCount;
+  uint64_t NewCount = AtLeaf ? Sums[Node] : Arena.ownCount(Node);
 
   // First touch of this counter: the node's range is no longer
   // provably cold. Marking at the node's own scale (not just X's
   // finest bucket) is what keeps the fence sound — the counter stands
   // for events anywhere in the range.
-  if (OldCount == 0) {
-    ++WarmNodes;
-    if (Node != 0 && Fence.enabled())
-      Fence.markNode(coverLo(X, Width), Width);
-  }
+  if (NewCount == Weight && Node != 0 && Fence.enabled())
+    Fence.markNode(coverLo(X, Width), Width);
 
   // Split check (Sec 2.2): a counter that outgrew the threshold sprouts
   // children so subsequent events in this range profile more precisely
@@ -511,8 +500,9 @@ void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
     // down — so it leaves the eps*n guarantee and must be charged. An
     // unbudgeted tree only re-lands like this once per scheduled merge
     // pass, which the oracle's per-epoch slack already covers.
-    if (Pressure.ForcedMergePasses != 0 && Arena.Counts[Node] > Weight &&
-        static_cast<double>(Arena.Counts[Node] - Weight) >
+    uint64_t Count = Arena.ownCount(Node);
+    if (Pressure.ForcedMergePasses != 0 && Count > Weight &&
+        static_cast<double>(Count - Weight) >
             Config.splitThreshold(NumEvents)) {
       Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
       Charged = true;
@@ -528,7 +518,7 @@ void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
       Need = splitAllocCount(Node, Width);
       bool StillWants =
           Width != 0 &&
-          static_cast<double>(Arena.Counts[Node]) >
+          static_cast<double>(Arena.ownCount(Node)) >
               Config.splitThreshold(NumEvents);
       if (!StillWants || NumNodes + Need > Budget) {
         // Degrade: this event stays profiled at the current (coarse)
@@ -582,8 +572,8 @@ void RapTree::splitNode(uint32_t Node, unsigned MyWidth) {
   unsigned SlotLog2 = MyWidth - ChildBits;
   uint64_t Nav = Arena.Navs[Node];
 
-  // Create every missing child with a zero counter. The parent keeps
-  // its own counter (counters are never decremented, Sec 2.2 fn 1).
+  // Create every missing child with a zero sum. The parent keeps its
+  // own counter (counters are never decremented, Sec 2.2 fn 1).
   if (NodeArena::navIsLeaf(Nav)) {
     Arena.allocChildren(Node, ChildBits, SlotLog2, /*Dead=*/false);
     NumNodes += uint64_t(1) << SlotLog2;
@@ -596,8 +586,6 @@ void RapTree::splitNode(uint32_t Node, unsigned MyWidth) {
       if (!NodeArena::navIsDead(Arena.Navs[Child]))
         continue;
       Arena.Navs[Child] = NodeArena::LeafNav;
-      Arena.Counts[Child] = 0;
-      Arena.Sums[Child] = 0;
       ++NumNodes;
     }
   }
@@ -605,12 +593,11 @@ void RapTree::splitNode(uint32_t Node, unsigned MyWidth) {
   MaxNumNodes = std::max(MaxNumNodes, NumNodes);
 }
 
-uint64_t RapTree::mergeWalk(uint32_t Node, double Threshold,
-                            uint64_t &Removed, uint64_t *FoldedWeight) {
-  uint64_t Total = Arena.Counts[Node];
+void RapTree::mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
+                        uint64_t *FoldedWeight) {
   uint64_t Nav = Arena.Navs[Node];
   if (NodeArena::navIsLeaf(Nav))
-    return Total;
+    return;
 
   bool AnyChildLeft = false;
   uint32_t First = NodeArena::navFirstChild(Nav);
@@ -620,14 +607,13 @@ uint64_t RapTree::mergeWalk(uint32_t Node, double Threshold,
     uint32_t Child = First + Slot;
     if (NodeArena::navIsDead(Arena.Navs[Child]))
       continue;
-    uint64_t ChildWeight = mergeWalk(Child, Threshold, Removed, FoldedWeight);
-    Total = saturatingAdd(Total, ChildWeight);
+    mergeWalk(Child, Threshold, Removed, FoldedWeight);
+    uint64_t ChildWeight = Arena.Sums[Child];
     if (static_cast<double>(ChildWeight) < Threshold) {
       // Fold the entire (already internally merged) child subtree into
       // this node: child counts are equally valid on the super-range
-      // (Sec 2.2 "Merge"). The weight stays under this node, so no
-      // subtree sum changes.
-      Arena.Counts[Node] = saturatingAdd(Arena.Counts[Node], ChildWeight);
+      // (Sec 2.2 "Merge"). The weight stays under this node, so no sum
+      // changes: killing the child raises this node's count by itself.
       if (FoldedWeight)
         *FoldedWeight = saturatingAdd(*FoldedWeight, ChildWeight);
       uint64_t Dropped = Arena.subtreeNodeCount(Child);
@@ -644,7 +630,6 @@ uint64_t RapTree::mergeWalk(uint32_t Node, double Threshold,
     Arena.freeBlock(First, SlotLog2);
     Arena.Navs[Node] = NodeArena::LeafNav;
   }
-  return Total;
 }
 
 void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
@@ -652,9 +637,8 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
   // equally-ranged node here, materializing missing children so no
   // precision recorded by the shard is lost at union time (the absorb
   // merge pass re-compacts whatever is no longer warranted).
-  Arena.Counts[Mine] = saturatingAdd(Arena.Counts[Mine], Theirs.count());
   // Everything Theirs holds lands in this subtree; the children below
-  // add their own shares to their own sums.
+  // add their own shares to their own sums (absorb checked the fit).
   Arena.Sums[Mine] = saturatingAdd(Arena.Sums[Mine], Theirs.subtreeWeight());
   if (!Theirs.hasChildren())
     return;
@@ -676,8 +660,6 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
     uint32_t Child = First + Slot;
     if (NodeArena::navIsDead(Arena.Navs[Child])) {
       Arena.Navs[Child] = NodeArena::LeafNav;
-      Arena.Counts[Child] = 0;
-      Arena.Sums[Child] = 0;
       ++NumNodes;
     }
     unionWith(Child, *TheirChild);
@@ -689,7 +671,16 @@ void RapTree::absorb(const RapTree &Other) {
          Config.BranchFactor == Other.Config.BranchFactor &&
          "absorb requires identical tree geometry");
   FingerLast = 0; // The merge and budget passes below may kill nodes.
-  unionWith(0, Other.root());
+  // A union past a 2^64-1 total folds what fits onto the root; all of
+  // Other's weight lost its precision or was dropped, so all is charged.
+  uint64_t Headroom = ~uint64_t(0) - NumEvents;
+  if (Other.NumEvents <= Headroom) {
+    unionWith(0, Other.root());
+  } else {
+    Arena.Sums[0] = saturatingAdd(Arena.Sums[0], Headroom);
+    Pressure.DegradedWeight =
+        saturatingAdd(Pressure.DegradedWeight, Other.NumEvents);
+  }
   NumEvents = saturatingAdd(NumEvents, Other.NumEvents);
   MaxNumNodes = std::max(MaxNumNodes, NumNodes);
   // Re-compact at the combined stream position and realign the merge
@@ -735,36 +726,46 @@ void RapTree::scheduleAfterMerge() {
 uint64_t RapTree::arenaBytes() const { return Arena.slabBytes(); }
 
 void RapTree::straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
-                           uint64_t Lo, uint64_t Hi,
+                           uint64_t Lo, uint64_t Hi, bool WantUpper,
                            RangeBounds &Bounds) const {
-  // The node intersects [Lo, Hi] without lying inside it, so its own
-  // counter may hold events on either side of an endpoint: it counts
-  // toward Upper only, which keeps Lower a guaranteed lower bound.
-  Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Counts[Node]);
-  uint64_t Nav = Arena.Navs[Node];
-  if (NodeArena::navIsLeaf(Nav))
-    return;
-  // Visit only the slots overlapping the query. The ones strictly
-  // between the first and the last lie inside it and contribute their
-  // O(1) subtree sums; at most the two end slots straddle and recurse,
-  // so a read touches O(b) slots per level of the two boundary paths.
-  unsigned Shift = NodeArena::navChildShift(Nav);
-  uint32_t First = NodeArena::navFirstChild(Nav);
-  uint64_t NodeHi = NodeLo + lowBitMask(Width);
-  uint64_t FirstSlot = Lo > NodeLo ? (Lo - NodeLo) >> Shift : 0;
-  uint64_t LastSlot = Hi < NodeHi ? (Hi - NodeLo) >> Shift
-                                  : lowBitMask(NodeArena::navSlotLog2(Nav));
-  for (uint64_t Slot = FirstSlot; Slot <= LastSlot; ++Slot) {
-    uint32_t Child = First + static_cast<uint32_t>(Slot);
-    if (NodeArena::navIsDead(Arena.Navs[Child]))
-      continue; // Sub-range merged into this node: counted above.
-    uint64_t ChildLo = NodeLo + (Slot << Shift);
-    if (Lo <= ChildLo && ChildLo + lowBitMask(Shift) <= Hi) {
-      Bounds.Lower = saturatingAdd(Bounds.Lower, Arena.Sums[Child]);
-      Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Sums[Child]);
-    } else {
-      straddleWalk(Child, ChildLo, Shift, Lo, Hi, Bounds);
+  // Each pass takes a node that intersects [Lo, Hi] without lying in
+  // it. Its own counter may hold events on either side of an endpoint,
+  // so it counts toward Upper only (estimateRange, reading Lower alone,
+  // skips it). Of its child slots, those between the two end ones lie
+  // inside the query (O(b) slots a level); the pass recurses into a
+  // straddling first one and moves on to a straddling last one.
+  for (;;) {
+    if (WantUpper)
+      Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.ownCount(Node));
+    uint64_t Nav = Arena.Navs[Node];
+    if (NodeArena::navIsLeaf(Nav))
+      return;
+    unsigned Shift = NodeArena::navChildShift(Nav);
+    uint32_t First = NodeArena::navFirstChild(Nav);
+    uint64_t NodeHi = NodeLo + lowBitMask(Width);
+    uint64_t FirstSlot = Lo > NodeLo ? (Lo - NodeLo) >> Shift : 0;
+    uint64_t LastSlot = Hi < NodeHi ? (Hi - NodeLo) >> Shift
+                                    : lowBitMask(NodeArena::navSlotLog2(Nav));
+    bool Tail = false;
+    for (uint64_t Slot = FirstSlot; Slot <= LastSlot; ++Slot) {
+      uint32_t Child = First + static_cast<uint32_t>(Slot);
+      if (NodeArena::navIsDead(Arena.Navs[Child]))
+        continue; // Sub-range merged into this node: counted above.
+      uint64_t ChildLo = NodeLo + (Slot << Shift);
+      if (Lo <= ChildLo && ChildLo + lowBitMask(Shift) <= Hi) {
+        Bounds.Lower = saturatingAdd(Bounds.Lower, Arena.Sums[Child]);
+        Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Sums[Child]);
+      } else if (Slot != LastSlot) {
+        straddleWalk(Child, ChildLo, Shift, Lo, Hi, WantUpper, Bounds);
+      } else {
+        Tail = true;
+      }
     }
+    if (!Tail)
+      return;
+    Node = First + static_cast<uint32_t>(LastSlot);
+    NodeLo += LastSlot << Shift;
+    Width = Shift;
   }
 }
 
@@ -783,12 +784,17 @@ uint64_t RapTree::estimateRange(uint64_t Lo, uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
   if (rangeProvablyCold(Lo, Hi))
     return 0;
-  return estimateRangeBounds(Lo, Hi).Lower;
+  return boundsWalk(Lo, Hi, /*WantUpper=*/false).Lower;
 }
 
 RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
                                                   uint64_t Hi) const {
   assert(Lo <= Hi && "empty query range");
+  return boundsWalk(Lo, Hi, /*WantUpper=*/true);
+}
+
+RapTree::RangeBounds RapTree::boundsWalk(uint64_t Lo, uint64_t Hi,
+                                         bool WantUpper) const {
   RangeBounds Bounds;
   uint64_t RootHi = lowBitMask(Config.RangeBits);
   if (Lo > RootHi)
@@ -797,7 +803,7 @@ RapTree::RangeBounds RapTree::estimateRangeBounds(uint64_t Lo,
     Bounds.Lower = Bounds.Upper = Arena.Sums[0];
     return Bounds;
   }
-  straddleWalk(0, 0, Config.RangeBits, Lo, Hi, Bounds);
+  straddleWalk(0, 0, Config.RangeBits, Lo, Hi, WantUpper, Bounds);
   return Bounds;
 }
 
@@ -810,12 +816,12 @@ uint64_t RapTree::hotWalk(uint32_t Node, uint64_t Lo, unsigned Width,
   uint64_t Subtree = Arena.Sums[Node];
   if (static_cast<double>(Subtree) < Threshold)
     return Subtree;
-  uint64_t Exclusive = Arena.Counts[Node];
+  // Exclusive weight: the subtree's, less what each child keeps hot.
+  uint64_t Exclusive = Subtree;
   Arena.forEachLiveChild(
       Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
-        Exclusive = saturatingAdd(
-            Exclusive,
-            hotWalk(Child, ChildLo, ChildWidth, Depth + 1, Threshold, Out));
+        Exclusive -= Arena.Sums[Child] - hotWalk(Child, ChildLo, ChildWidth,
+                                                 Depth + 1, Threshold, Out);
       });
   if (!(static_cast<double>(Exclusive) >= Threshold))
     return Exclusive;
@@ -853,7 +859,8 @@ void RapTree::topKWalk(uint32_t Node, uint64_t Lo, unsigned Width,
   R.Hi = Lo + lowBitMask(Width);
   R.WidthBits = Width;
   R.Depth = Depth;
-  R.Retained = Arena.Counts[Node];
+  bool Leaf = NodeArena::navIsLeaf(Arena.Navs[Node]);
+  R.Retained = Leaf ? Arena.Sums[Node] : Arena.ownCount(Node);
   // Subtree weight is exactly estimateRange(Lo, Hi) for a node-aligned
   // range (a provable lower bound); the matching upper bound charges
   // every ancestor's own counter, since those events may fall anywhere
@@ -862,6 +869,8 @@ void RapTree::topKWalk(uint32_t Node, uint64_t Lo, unsigned Width,
   R.UpperWeight = saturatingAdd(R.LowerWeight, AncestorOwn);
   Out.push_back(R);
   uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, R.Retained);
+  if (Leaf)
+    return;
   Arena.forEachLiveChild(
       Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
         topKWalk(Child, ChildLo, ChildWidth, Depth + 1, ChildAncestorOwn, Out);

@@ -112,8 +112,8 @@ public:
   /// its ancestors. Returns nullptr (with a diagnostic in \p Error if
   /// non-null) when the node set is not a well-formed RAP tree for
   /// \p Config: wrong root, misaligned ranges, widths inconsistent
-  /// with the branching factor, or counts not summing to
-  /// \p NumEvents.
+  /// with the branching factor, counts summing past 2^64-1, or counts
+  /// not summing to \p NumEvents.
   ///
   /// \p NextMergeAt restores the batched-merge schedule position
   /// recorded at capture time so a restored tree behaves bit-for-bit
@@ -136,6 +136,7 @@ public:
   /// schedule. \p X must lie inside the configured universe. A weight
   /// greater than one corresponds to a combined duplicate from the
   /// stage-0 event buffer (Sec 3.3; software port in StageZeroBuffer).
+  /// Weight past a 2^64-1 stream total is charged to degradedWeight().
   void addPoint(uint64_t X, uint64_t Weight = 1);
 
   /// Runs one batched merge pass immediately with the current merge
@@ -149,13 +150,14 @@ public:
   /// how per-thread shard profiles are aggregated into one: each
   /// shard's eps guarantee is relative to its own stream, so the
   /// combined under-estimate of any range is at most
-  /// eps * (n_this + n_other).
+  /// eps * (n_this + n_other). A union past a 2^64-1 total instead adds
+  /// what fits to the root and charges \p Other's weight as degraded.
   void absorb(const RapTree &Other);
 
   /// The configuration this tree was built with.
   const RapConfig &config() const { return Config; }
 
-  /// Total stream weight processed so far (the paper's n).
+  /// Total stream weight processed so far (the paper's n, < 2^64).
   uint64_t numEvents() const { return NumEvents; }
 
   /// Current number of nodes (counters) in the tree.
@@ -169,9 +171,9 @@ public:
   uint64_t memoryBytes() const { return NumNodes * BytesPerNode; }
 
   /// Actual bytes of arena storage backing the tree (the reserved
-  /// capacity of its three slab vectors), including slots on free
-  /// lists. The software implementation's real footprint, as opposed
-  /// to the paper's 128-bit hardware budget of memoryBytes().
+  /// capacity of its two slab vectors, 16 B a slot), including slots
+  /// on free lists. The software implementation's real footprint, as
+  /// opposed to the paper's 128-bit hardware budget of memoryBytes().
   uint64_t arenaBytes() const;
 
   /// Number of split operations performed.
@@ -266,11 +268,6 @@ public:
   /// Total fence buckets (0 when the fence is disabled).
   uint64_t numFenceBuckets() const { return Fence.numBuckets(); }
 
-  /// Nodes whose own counter is positive. Maintained incrementally
-  /// (first-touch in addPoint, re-derived on merge/absorb/restore);
-  /// a statistic for fence-occupancy reports.
-  uint64_t numWarmNodes() const { return WarmNodes; }
-
   /// Streaming top-k hot-range report: the \p K tree ranges retaining
   /// the most weight at their own granularity, each with a provable
   /// [LowerWeight, UpperWeight] bracket on its true count. Ordering is
@@ -339,18 +336,20 @@ private:
   uint64_t splitAllocCount(uint32_t Node, unsigned Width) const;
   uint64_t forcedMergePass();
   void enforceNodeBudget();
-  uint64_t mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
-                     uint64_t *FoldedWeight = nullptr);
+  void mergeWalk(uint32_t Node, double Threshold, uint64_t &Removed,
+                 uint64_t *FoldedWeight = nullptr);
   void unionWith(uint32_t Mine, const RapNode &Theirs);
   uint64_t hotWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
                    double Threshold, std::vector<HotRange> &Out) const;
   void topKWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
                 uint64_t AncestorOwn, std::vector<TopKRange> &Out) const;
+  RangeBounds boundsWalk(uint64_t Lo, uint64_t Hi, bool WantUpper) const;
   void straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
-                    uint64_t Lo, uint64_t Hi, RangeBounds &Bounds) const;
+                    uint64_t Lo, uint64_t Hi, bool WantUpper,
+                    RangeBounds &Bounds) const;
   void scheduleAfterMerge();
   void rebuildFence();
-  uint64_t rebuildFenceWalk(uint32_t Node, uint64_t Lo, unsigned Width);
+  void rebuildFenceWalk(uint32_t Node, uint64_t Lo, unsigned Width);
 
   RapConfig Config;
   detail::NodeArena Arena;
@@ -370,8 +369,6 @@ private:
   /// Cold-query filter (disabled unless Config.EnableRangeFence).
   /// Never serialized: rebuilt from counters wherever they move.
   RangeFence Fence;
-  /// Count of positive own counters; see numWarmNodes().
-  uint64_t WarmNodes = 0;
 
   /// Root path of the previous addPoint: Finger[D] is its depth-D node
   /// covering FingerKey, from the root (Finger[0], always id 0) down to

@@ -6,15 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small forward worklist solver over lint::Cfg. Rules pick the
-/// lattice by choosing the join:
-///
-///   * may-analyses (use-after-move, counter taint) join by union —
-///     a fact holds if it holds on ANY path into the block;
-///   * must-analyses join by intersection — a fact
-///     holds only if it holds on EVERY path into the block. Blocks
-///     not yet visited contribute nothing (top), so intersection
-///     starts from the first reached predecessor.
+/// A small forward worklist solver over lint::Cfg for may-analyses
+/// (use-after-move, counter taint): the join is union, so a fact holds
+/// at a block if it holds on ANY path into it. Blocks not yet visited
+/// contribute nothing.
 ///
 /// The transfer function maps a block's entry state to its exit state
 /// by walking its Actions; findings are emitted on a separate final
@@ -27,7 +22,6 @@
 
 #include "lint/Cfg.h"
 
-#include <algorithm>
 #include <deque>
 #include <functional>
 #include <set>
@@ -46,18 +40,13 @@ struct DataflowResult {
   std::vector<bool> Reached;       ///< From the entry block.
 };
 
-enum class JoinKind {
-  Union,       ///< May-analysis.
-  Intersection ///< Must-analysis; unreached preds are top.
-};
-
-/// Runs a forward worklist analysis to a fixed point. \p Transfer
-/// maps (block, entry-state) to the block's exit state; it must be
-/// monotone in the lattice implied by \p Join or iteration may not
-/// terminate (with name-set facts over one function this is easy to
-/// satisfy and cheap to iterate).
+/// Runs a forward union-join worklist analysis to a fixed point.
+/// \p Transfer maps (block, entry-state) to the block's exit state; it
+/// must be monotone (a larger entry set gives a larger exit set) or
+/// iteration may not terminate (with name-set facts over one function
+/// this is easy to satisfy and cheap to iterate).
 inline DataflowResult
-solveForward(const Cfg &G, JoinKind Join, const FactSet &EntryFacts,
+solveForward(const Cfg &G, const FactSet &EntryFacts,
              const std::function<FactSet(const BasicBlock &, FactSet)>
                  &Transfer) {
   DataflowResult R;
@@ -77,18 +66,8 @@ solveForward(const Cfg &G, JoinKind Join, const FactSet &EntryFacts,
 
     FactSet Out = Transfer(G.Blocks[Id], R.EntryState[Id]);
     for (size_t Succ : G.Blocks[Id].Succs) {
-      FactSet Merged;
-      if (!R.Reached[Succ]) {
-        Merged = Out;
-      } else if (Join == JoinKind::Union) {
-        Merged = R.EntryState[Succ];
-        Merged.insert(Out.begin(), Out.end());
-      } else {
-        std::set_intersection(
-            R.EntryState[Succ].begin(), R.EntryState[Succ].end(),
-            Out.begin(), Out.end(),
-            std::inserter(Merged, Merged.begin()));
-      }
+      FactSet Merged = R.EntryState[Succ];
+      Merged.insert(Out.begin(), Out.end());
       if (R.Reached[Succ] && Merged == R.EntryState[Succ])
         continue;
       R.Reached[Succ] = true;

@@ -360,7 +360,7 @@ void runUseAfterMove(const std::string &Path, const LexedSource &Src,
       transferMove(T, A, Mask, State, nullptr, nullptr);
     return State;
   };
-  DataflowResult R = solveForward(G, JoinKind::Union, {}, Transfer);
+  DataflowResult R = solveForward(G, {}, Transfer);
 
   std::set<std::pair<unsigned, std::string>> Seen;
   std::vector<Finding> Raw;
@@ -648,7 +648,7 @@ void runCounterEscape(const std::string &Path, const LexedSource &Src,
       transferCounter(T, A, Mask, Shadowed, State, nullptr, nullptr);
     return State;
   };
-  DataflowResult R = solveForward(G, JoinKind::Union, {}, Transfer);
+  DataflowResult R = solveForward(G, {}, Transfer);
 
   std::set<std::pair<unsigned, std::string>> Seen;
   std::vector<Finding> Raw;

@@ -11,7 +11,8 @@
 // changes the specification the oracle checks the arena tree against,
 // so do not "improve" it. The budget and admission routines (admitSplit,
 // trySplit, splitAllocCount, forcedMergePass) came after the arena and
-// mirror core/RapTree.cpp's the same way.
+// mirror core/RapTree.cpp's the same way, as does addPoint's clamp of
+// the stream total at 2^64-1 (the excess is charged as degraded).
 //
 //===----------------------------------------------------------------------===//
 
@@ -76,6 +77,11 @@ ReferenceRapTree::Node *ReferenceRapTree::descend(uint64_t X) {
 }
 
 void ReferenceRapTree::addPoint(uint64_t X, uint64_t Weight) {
+  uint64_t Headroom = ~uint64_t(0) - NumEvents;
+  if (Weight > Headroom)
+    Pressure.DegradedWeight =
+        saturatingAdd(Pressure.DegradedWeight, Weight - Headroom);
+  Weight = std::min(Weight, Headroom);
   if (Weight == 0)
     return;
   assert((Config.RangeBits == 64 || X < (uint64_t(1) << Config.RangeBits)) &&

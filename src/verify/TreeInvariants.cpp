@@ -68,18 +68,27 @@ void walk(const RapNode &Node, const RapConfig &Config, Report &R,
            "node lo %" PRIx64 " not aligned to its %u-bit width", Node.lo(),
            Node.widthBits());
 
-  // Subtree-sum column: the O(1) subtreeWeight() every range read
-  // trusts must equal the node's own counter plus its live children's
-  // subtree weights (saturating).
-  uint64_t ExpectedSum = Node.count();
+  // Subtree-sum column: a node's count is derived as its subtree
+  // weight less its child slots' (a dead slot holds 0), so the live
+  // children must never outweigh their parent (the count would have
+  // wrapped), and the derived count must be what the live children
+  // leave (else a dead slot kept weight).
+  uint64_t Children = 0;
   for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
     if (std::optional<RapNode> Child = Node.child(Slot))
-      ExpectedSum = saturatingAdd(ExpectedSum, Child->subtreeWeight());
-  if (Node.subtreeWeight() != ExpectedSum)
+      Children = saturatingAdd(Children, Child->subtreeWeight());
+  if (Children > Node.subtreeWeight())
     R.fail("subtree-sum",
            "node [%" PRIx64 ", width %u] reports subtree weight %" PRIu64
-           ", but count + children = %" PRIu64,
-           Node.lo(), Node.widthBits(), Node.subtreeWeight(), ExpectedSum);
+           ", but its children hold %" PRIu64,
+           Node.lo(), Node.widthBits(), Node.subtreeWeight(), Children);
+  else if (Node.count() != Node.subtreeWeight() - Children)
+    R.fail("subtree-sum",
+           "node [%" PRIx64 ", width %u] count %" PRIu64 " is not its "
+           "subtree weight %" PRIu64 " less its live children's %" PRIu64
+           " (a dead slot holds weight)",
+           Node.lo(), Node.widthBits(), Node.count(), Node.subtreeWeight(),
+           Children);
 
   if (!Node.hasChildren())
     return;
@@ -132,8 +141,8 @@ std::vector<InvariantViolation> TreeInvariants::audit(const RapTree &Tree) {
   walk(Tree.root(), Config, R, Stats);
 
   // Conservation: every unit of stream weight is on exactly one
-  // counter (weights saturate at 2^64-1, as does numEvents), and the
-  // root's entry of the subtree-sum column says so too.
+  // counter (the stream total never passes 2^64-1), and the root's
+  // entry of the subtree-sum column says so too.
   if (Stats.Weight != Tree.numEvents())
     R.fail("conservation",
            "tree holds %" PRIu64 " weight but %" PRIu64 " events were fed",
@@ -339,6 +348,7 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
   const uint64_t ForcedBefore = Tree.forcedMergePasses();
   const uint64_t DeniedBefore = Tree.numAdmissionDeniedSplits();
   const uint64_t DeferredBefore = Tree.admissionDeferredWeight();
+  const uint64_t DegradedBefore = Tree.degradedWeight();
 
   Tree.addPoint(X, Weight);
 
@@ -352,18 +362,29 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
   const uint64_t DeferredDelta =
       Tree.admissionDeferredWeight() - DeferredBefore;
 
-  if (Weight == 0) {
-    // Zero-weight events are no-ops by contract.
+  // The stream total never passes 2^64-1: the tree admits what fits
+  // and charges the excess to the degraded bound.
+  const uint64_t Admitted = std::min(Weight, ~uint64_t(0) - EventsBefore);
+  const uint64_t Excess = Weight - Admitted;
+  if (Tree.degradedWeight() - DegradedBefore < Excess)
+    R.fail("event-accounting",
+           "%" PRIu64 " weight past a full stream total was not charged "
+           "as degraded (x=%" PRIx64 ")",
+           Excess, X);
+
+  if (Admitted == 0) {
+    // Zero-weight events are no-ops by contract, and so are events a
+    // full stream total cannot admit.
     if (Tree.numEvents() != EventsBefore ||
         Tree.numSplits() != SplitsBefore ||
         Tree.numMergePasses() != MergesBefore)
-      R.fail("zero-weight", "zero-weight event mutated the tree "
+      R.fail("zero-weight", "event admitting no weight mutated the tree "
              "(x=%" PRIx64 ")", X);
     return;
   }
 
-  // Event accounting (saturating, like the counters).
-  const uint64_t EventsAfter = saturatingAdd(EventsBefore, Weight);
+  // Event accounting.
+  const uint64_t EventsAfter = EventsBefore + Admitted;
   if (Tree.numEvents() != EventsAfter)
     R.fail("event-accounting",
            "numEvents %" PRIu64 " after add, expected %" PRIu64,
@@ -372,7 +393,7 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
   // Split decision (Sec 2.2): the landing counter must split iff it
   // strictly exceeds eps * n / log(R) — evaluated, exactly as the
   // update rule does, at the post-update stream position.
-  const uint64_t CountAfter = saturatingAdd(CountBefore, Weight);
+  const uint64_t CountAfter = CountBefore + Admitted;
   const bool MustSplit =
       !Unit &&
       static_cast<double>(CountAfter) > Config.splitThreshold(EventsAfter);
@@ -399,8 +420,8 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
 
   // Admission accounting: at most one decision per update; a denial
   // only on a due split with admission enabled, charged at exactly the
-  // event's weight (saturating); a granted draw leaves both counters
-  // untouched.
+  // event's admitted weight (saturating); a granted draw leaves both
+  // counters untouched.
   if (DeniedDelta > 1)
     R.fail("admission-accounting",
            "%" PRIu64 " admission denials in one update (x=%" PRIx64 ")",
@@ -415,7 +436,7 @@ void OnlineAuditor::addPoint(uint64_t X, uint64_t Weight) {
            "update both denied admission and split (x=%" PRIx64 ")", X);
   const uint64_t ExpectedDeferred =
       DeniedDelta == 0 ? 0
-                       : saturatingAdd(DeferredBefore, Weight) -
+                       : saturatingAdd(DeferredBefore, Admitted) -
                              DeferredBefore;
   if (DeferredDelta != ExpectedDeferred)
     R.fail("admission-accounting",

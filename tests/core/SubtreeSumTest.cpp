@@ -7,12 +7,13 @@
 ///
 /// \file
 /// The arena's subtree-sum column (RapNode::subtreeWeight is an O(1)
-/// read of it) must satisfy subtreeWeight == count + sum of the live
-/// children's subtree weights after every structural path: split,
+/// read of it) defines every node's own count as its subtree weight
+/// less its live children's, so no live node's children may outweigh
+/// it. TreeInvariants states that check ("subtree-sum") next to
+/// conservation; these tests drive every structural path (split,
 /// revive of merged-back slots, scheduled merge folds, forced passes
-/// under a node budget, absorb, snapshot restore, counter saturation
-/// near 2^64 and an injected arena allocation failure. TreeInvariants
-/// states that check ("subtree-sum"); these tests drive each path and
+/// under a node budget, absorb, snapshot restore, a stream total
+/// reaching 2^64-1 and an injected arena allocation failure) and
 /// audit right after it. The read walks built on the column are then
 /// checked against the recursive walks they replaced, computed here
 /// from counters alone.
@@ -23,6 +24,7 @@
 #include "core/Serialization.h"
 #include "support/FailPoint.h"
 #include "support/Rng.h"
+#include "verify/ReferenceRapTree.h"
 #include "verify/TreeInvariants.h"
 
 #include <gtest/gtest.h>
@@ -281,7 +283,8 @@ TEST(SubtreeSum, SaturationNearTwoToTheSixtyFour) {
   RapConfig Config = smallConfig();
   Config.EnableMerges = false;
   RapTree Tree(Config);
-  // Exactly reaching 2^64-1 switches the descent to saturating adds.
+  // Once the stream total reaches 2^64-1, further weight is dropped
+  // (and charged as degraded), so the column stays exact.
   Tree.addPoint(0x10, ~uint64_t(0) - 1);
   EXPECT_EQ(columnViolations(Tree), "");
   Tree.addPoint(0x20, 1);
@@ -318,20 +321,110 @@ TEST(SubtreeSum, ArenaAllocFailureRollsBackCleanly) {
 }
 
 TEST(SubtreeSum, ArenaBytesCountsEverySlab) {
-  // Per slot: the count, subtree-sum and navigation words, 8 B each. A
-  // node's range follows from its path, so no slab stores it, and
-  // handles are values, so no table backs them.
+  // Per slot: the subtree-sum and navigation words, 8 B each, the
+  // paper's 128-bit node. A node's own count follows from the sums and
+  // its range from its path, so no slab stores either, and handles are
+  // values, so no table backs them.
   RapTree Tree(smallConfig());
-  EXPECT_EQ(Tree.arenaBytes(), 3u * 8);
+  EXPECT_EQ(Tree.arenaBytes(), 2u * 8);
   Rng R(7);
   for (int I = 0; I != 20000; ++I)
     Tree.addPoint(R.nextBelow(4) == 0 ? R.nextBelow(1 << 16)
                                       : R.nextBelow(64) << 6);
   ASSERT_GT(Tree.maxNumNodes(), 100u);
-  // The three slabs grow in lockstep, so the bytes are whole 24-byte
+  // The two slabs grow in lockstep, so the bytes are whole 16-byte
   // slots, at least one per node the tree ever held.
-  EXPECT_EQ(Tree.arenaBytes() % 24, 0u);
-  EXPECT_GE(Tree.arenaBytes(), 24 * Tree.maxNumNodes());
+  EXPECT_EQ(Tree.arenaBytes() % 16, 0u);
+  EXPECT_GE(Tree.arenaBytes(), 16 * Tree.maxNumNodes());
+  EXPECT_EQ(RapTree::BytesPerNode, 16u);
+}
+
+TEST(SubtreeSum, StreamTotalStopsAtTwoToTheSixtyFour) {
+  // A stream crossing 2^64-1 mid-run, with splits and merges on both
+  // sides of the crossing: the tree admits exactly up to 2^64-1,
+  // charges the rest as degraded, and matches the root-descending
+  // twin count for count.
+  RapConfig Config = smallConfig();
+  RapTree Tree(Config);
+  ReferenceRapTree Twin(Config);
+  Rng R(23);
+  uint64_t Fed = 0;     // Weight offered while the total still fit.
+  uint64_t Dropped = 0; // Weight offered past 2^64-1.
+  auto Feed = [&](uint64_t X, uint64_t Weight) {
+    uint64_t Fits = std::min(Weight, ~uint64_t(0) - Fed);
+    Fed += Fits;
+    Dropped = saturatingAdd(Dropped, Weight - Fits);
+    Tree.addPoint(X, Weight);
+    Twin.addPoint(X, Weight);
+  };
+  for (int I = 0; I != 4000; ++I)
+    Feed(R.nextBelow(1u << 16), 1 + R.nextBelow(5));
+  for (int I = 0; I != 6; ++I)
+    Feed((0x3000 + 0x1111 * uint64_t(I)) & 0xffff, uint64_t(3) << 61);
+  for (int I = 0; I != 2000; ++I)
+    Feed(R.nextBelow(1u << 16), 1 + R.nextBelow(5));
+  ASSERT_EQ(Fed, ~uint64_t(0));
+  EXPECT_EQ(Tree.numEvents(), ~uint64_t(0));
+  EXPECT_EQ(Tree.root().subtreeWeight(), ~uint64_t(0));
+  EXPECT_EQ(Tree.degradedWeight(), Dropped);
+  EXPECT_EQ(Twin.pressure().DegradedWeight, Dropped);
+  EXPECT_GT(Tree.numMergePasses(), 0u);
+
+  std::vector<ReferenceRapTree::NodeTriple> Mine;
+  auto Collect = [&](auto &Self, const RapNode &Node) -> void {
+    Mine.emplace_back(Node.lo(), static_cast<uint8_t>(Node.widthBits()),
+                      Node.count());
+    for (unsigned Slot = 0; Slot != Node.numChildSlots(); ++Slot)
+      if (std::optional<RapNode> Child = Node.child(Slot))
+        Self(Self, *Child);
+  };
+  Collect(Collect, Tree.root());
+  EXPECT_EQ(Mine, Twin.collectNodes());
+  EXPECT_EQ(columnViolations(Tree), "");
+}
+
+TEST(SubtreeSum, AbsorbPastTwoToTheSixtyFourFoldsOntoTheRoot) {
+  RapConfig Config = smallConfig();
+  // A full stream total pins the merge schedule at its sentinel, which
+  // the schedule audit cannot order past the stream; merges are beside
+  // the point here.
+  Config.EnableMerges = false;
+  RapTree A(Config), B(Config), C(Config);
+  for (uint64_t I = 0; I != 8; ++I) {
+    A.addPoint(I * 0x1000, uint64_t(1) << 60);
+    B.addPoint(I * 0x1000 + 0x800, uint64_t(1) << 60);
+    C.addPoint(I * 0x2000 + 0x400, uint64_t(1) << 59);
+  }
+  // A and C fit together exactly below 2^64: a plain union, no charge.
+  A.absorb(C);
+  EXPECT_EQ(A.numEvents(), (uint64_t(1) << 63) + (uint64_t(1) << 62));
+  EXPECT_EQ(A.degradedWeight(), 0u);
+  EXPECT_TRUE(TreeInvariants::audit(A).empty())
+      << TreeInvariants::render(TreeInvariants::audit(A));
+
+  // B does not fit: the headroom lands on the root, and all of B's
+  // weight is charged (what landed lost its precision).
+  uint64_t RootBefore = A.root().count();
+  uint64_t Headroom = ~uint64_t(0) - A.numEvents();
+  A.absorb(B);
+  EXPECT_EQ(A.numEvents(), ~uint64_t(0));
+  EXPECT_EQ(A.root().subtreeWeight(), ~uint64_t(0));
+  EXPECT_EQ(A.root().count(), RootBefore + Headroom);
+  EXPECT_EQ(A.degradedWeight(), B.numEvents());
+  EXPECT_TRUE(TreeInvariants::audit(A).empty())
+      << TreeInvariants::render(TreeInvariants::audit(A));
+  // Estimates stay lower bounds: B's events in its own ranges were not
+  // filed there.
+  EXPECT_EQ(A.estimateRange(0x800, 0x8ff), 0u);
+}
+
+TEST(SubtreeSum, RestoreRejectsCountsPastTwoToTheSixtyFour) {
+  RapConfig Config = smallConfig();
+  NodeSet Nodes = {{0, 16, ~uint64_t(0)}, {0, 14, 1}};
+  std::string Error;
+  EXPECT_EQ(RapTree::fromNodeSet(Config, Nodes, ~uint64_t(0), &Error),
+            nullptr);
+  EXPECT_NE(Error.find("past 2^64-1"), std::string::npos) << Error;
 }
 
 TEST(SubtreeSum, RangeReadsMatchTheRecursiveWalks) {

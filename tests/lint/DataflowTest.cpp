@@ -8,9 +8,9 @@
 // loop intuition gets wrong: goto jumping into the middle of a loop
 // body (two loop entries — an irreducible region), switch
 // fallthrough chains inside loops, and goto-formed back edges. Each
-// case checks both joins at a probe statement: union (may) should
-// see facts from ANY inbound path, intersection (must) only facts on
-// EVERY path, and the worklist must reach a fixed point either way.
+// case checks the union (may) join at a probe statement: it should
+// see facts from ANY inbound path, and the worklist must reach a
+// fixed point.
 //
 // The transfer function is a deliberately tiny gen/kill scheme over
 // the probe sources: a call to set_a() generates fact "a", clr_a()
@@ -49,10 +49,10 @@ Built build(const std::string &Source) {
 }
 
 /// set_<x>() generates fact "x"; clr_<x>() kills it.
-DataflowResult solve(const Built &B, JoinKind Join) {
+DataflowResult solve(const Built &B) {
   const std::vector<Token> &T = B.Lexed.Tokens;
   return solveForward(
-      B.G, Join, {},
+      B.G, {},
       [&T](const BasicBlock &Blk, FactSet In) {
         for (const Action &A : Blk.Actions)
           for (size_t I = A.Begin; I < A.End; ++I) {
@@ -101,13 +101,10 @@ TEST(Dataflow, GotoIntoLoopBodyJoinsBothEntries) {
                   "    --n;\n"
                   "  }\n"
                   "}\n");
-  DataflowResult May = solve(B, JoinKind::Union);
-  DataflowResult Must = solve(B, JoinKind::Intersection);
+  DataflowResult May = solve(B);
   size_t P = probeBlock(B, May, "probe");
   EXPECT_EQ(May.EntryState[P].count("a"), 1u)
       << "union join must keep facts arriving via the normal entry";
-  EXPECT_EQ(Must.EntryState[P].count("a"), 0u)
-      << "intersection join must drop facts missing on the goto entry";
 }
 
 TEST(Dataflow, SwitchFallthroughCycleConverges) {
@@ -131,56 +128,33 @@ TEST(Dataflow, SwitchFallthroughCycleConverges) {
                   "    --n;\n"
                   "  }\n"
                   "}\n");
-  DataflowResult May = solve(B, JoinKind::Union);
-  DataflowResult Must = solve(B, JoinKind::Intersection);
+  DataflowResult May = solve(B);
   size_t P = probeBlock(B, May, "probe");
   EXPECT_EQ(May.EntryState[P].count("a"), 1u)
       << "fallthrough edge from case 0 must feed case 1";
-  EXPECT_EQ(Must.EntryState[P].count("a"), 0u)
-      << "direct dispatch to case 1 never passed set_a";
 }
 
 TEST(Dataflow, GotoBackEdgePropagatesAroundCycle) {
   // A loop formed purely by goto: on the second trip through the
   // label the fact generated later in the body has wrapped around,
-  // so may-analysis sees it at the probe while must-analysis cannot
-  // (the first trip arrives without it).
+  // so may-analysis sees it at the probe (though the first trip
+  // arrives without it).
   Built B = build("void h(int n) {\n"
                   "top:\n"
                   "  probe();\n"
                   "  set_a();\n"
                   "  if (n-- > 0) goto top;\n"
                   "}\n");
-  DataflowResult May = solve(B, JoinKind::Union);
-  DataflowResult Must = solve(B, JoinKind::Intersection);
+  DataflowResult May = solve(B);
   size_t P = probeBlock(B, May, "probe");
   EXPECT_EQ(May.EntryState[P].count("a"), 1u)
       << "fact must ride the goto back edge to the label";
-  EXPECT_EQ(Must.EntryState[P].count("a"), 0u)
-      << "function entry reaches the label fact-free";
-}
-
-TEST(Dataflow, MustFactsSurviveLoopWhenEveryPathAgrees) {
-  // The dual check: when BOTH loop entries (fall-in and back edge)
-  // carry the fact, intersection keeps it. Guards against a solver
-  // that converges by over-killing on cycles.
-  Built B = build("void k(int n) {\n"
-                  "  set_a();\n"
-                  "  while (n > 0) {\n"
-                  "    probe();\n"
-                  "    --n;\n"
-                  "  }\n"
-                  "}\n");
-  DataflowResult Must = solve(B, JoinKind::Intersection);
-  size_t P = probeBlock(B, Must, "probe");
-  EXPECT_EQ(Must.EntryState[P].count("a"), 1u)
-      << "fact held on every inbound path must survive the loop join";
 }
 
 TEST(Dataflow, KillInsideLoopDrainsMustFactAtExit) {
   // clr_a on the loop body makes the fact path-dependent after the
-  // loop: zero iterations keep it, one or more kill it. Must-join at
-  // the post-loop probe has to drop it; may-join keeps it.
+  // loop: zero iterations keep it, one or more kill it. The may-join
+  // at the post-loop probe keeps it.
   Built B = build("void m(int n) {\n"
                   "  set_a();\n"
                   "  while (n > 0) {\n"
@@ -189,11 +163,9 @@ TEST(Dataflow, KillInsideLoopDrainsMustFactAtExit) {
                   "  }\n"
                   "  probe();\n"
                   "}\n");
-  DataflowResult May = solve(B, JoinKind::Union);
-  DataflowResult Must = solve(B, JoinKind::Intersection);
+  DataflowResult May = solve(B);
   size_t P = probeBlock(B, May, "probe");
   EXPECT_EQ(May.EntryState[P].count("a"), 1u);
-  EXPECT_EQ(Must.EntryState[P].count("a"), 0u);
 }
 
 TEST(Dataflow, UnreachableBlocksStayUnreached) {
@@ -205,7 +177,7 @@ TEST(Dataflow, UnreachableBlocksStayUnreached) {
                   "  return n;\n"
                   "  clr_a();\n"
                   "}\n");
-  DataflowResult May = solve(B, JoinKind::Union);
+  DataflowResult May = solve(B);
   bool SawUnreached = false;
   for (const BasicBlock &Blk : B.G.Blocks)
     for (const Action &A : Blk.Actions)
