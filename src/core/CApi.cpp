@@ -6,7 +6,9 @@
 // Every function here is noexcept and catches all internal exceptions:
 // a C++ exception unwinding into a C caller is undefined behavior, so
 // failures are reported as null/zero returns plus rap_last_error()
-// (enforced by the capi-exception-tight lint rule).
+// (CApiTest static_asserts noexcept on every entry point). This file
+// builds with -Werror=missing-declarations, so every extern "C"
+// definition here must be declared in CApi.h.
 //
 //===----------------------------------------------------------------------===//
 

@@ -23,11 +23,15 @@
 /// Every entry point is exception-tight: no C++ exception can cross
 /// the C boundary (that would be undefined behavior for a C caller).
 /// Failures surface as null handles / zero returns plus a diagnostic
-/// retrievable with rap_last_error().
+/// retrievable with rap_last_error(). An int status return must be
+/// read: a C++ caller that drops one does not compile (RAP_NODISCARD
+/// with -Werror=unused-result).
 #if defined(__cplusplus)
 #define RAP_NOEXCEPT noexcept
+#define RAP_NODISCARD [[nodiscard]]
 #else
 #define RAP_NOEXCEPT
+#define RAP_NODISCARD
 #endif
 
 extern "C" {
@@ -156,16 +160,16 @@ typedef struct rap_pressure {
 
 /// Copies the profile's pressure counters into \p out. Returns 0 on
 /// success, -1 (with rap_errno() set) if \p handle or \p out is null.
-int rap_pressure_stats(const rap_handle *handle,
-                       rap_pressure *out) RAP_NOEXCEPT;
+RAP_NODISCARD int rap_pressure_stats(const rap_handle *handle,
+                                     rap_pressure *out) RAP_NOEXCEPT;
 
 /// Saves the profile to \p path in the checksummed binary snapshot
 /// format, atomically (write to a temp file, then rename). Returns 0
 /// on success, -1 with rap_errno() = RAP_ERR_IO_FAILURE (or
 /// RAP_ERR_INVALID_ARGUMENT for a null path) on failure; on failure
 /// an existing file at \p path is left untouched.
-int rap_save_profile(const rap_handle *handle,
-                     const char *path) RAP_NOEXCEPT;
+RAP_NODISCARD int rap_save_profile(const rap_handle *handle,
+                                   const char *path) RAP_NOEXCEPT;
 
 /// Loads a profile saved by rap_save_profile() (or written by the
 /// rap_profile tool) and returns a live handle positioned to continue

@@ -38,7 +38,7 @@ struct MdRapConfig {
   double splitThreshold(uint64_t NumEvents) const {
     return Epsilon * static_cast<double>(NumEvents) / maxDepth();
   }
-  bool validate(std::string *Error = nullptr) const;
+  [[nodiscard]] bool validate(std::string *Error = nullptr) const;
 };
 
 /// An aligned square [XLo, XHi] x [YLo, YHi] of side 2^WidthBits.

@@ -18,9 +18,27 @@
 #ifndef RAP_CORE_PRESSURE_H
 #define RAP_CORE_PRESSURE_H
 
+#include "support/BitUtils.h"
+
 #include <cstdint>
 
 namespace rap {
+
+/// An event-weight total that can pass 2^64-1 (it counts weight the
+/// tree did not admit, so one tree's stream total does not bound it)
+/// and therefore clamps there instead of wrapping. It reads as a
+/// uint64_t; add() is its only update, so a raw `+=`, `++` or `=` of
+/// an integer does not compile.
+class SaturatingWeight {
+public:
+  constexpr SaturatingWeight() = default;
+  constexpr explicit SaturatingWeight(uint64_t Initial) : Value(Initial) {}
+  constexpr void add(uint64_t Weight) { Value = saturatingAdd(Value, Weight); }
+  constexpr operator uint64_t() const { return Value; }
+
+private:
+  uint64_t Value = 0;
+};
 
 /// Pressure counters of one tree. All counters are cumulative over
 /// the tree's lifetime and only ever increase (CoarsenLevel saturates
@@ -54,8 +72,8 @@ struct TreePressure {
   /// Total event weight pushed outside the eps*n guarantee: weight of
   /// refused-split events, weight folded upward by forced passes, and
   /// weight past a 2^64-1 stream total. Any range estimate's extra
-  /// error beyond the normal bound is at most this (saturating).
-  uint64_t DegradedWeight = 0;
+  /// error beyond the normal bound is at most this.
+  SaturatingWeight DegradedWeight;
 
   /// std::bad_alloc absorbed on the split path (real or injected);
   /// each one also counts as a refused split.
@@ -67,12 +85,11 @@ struct TreePressure {
   /// failure, and it never escalates CoarsenLevel.
   uint64_t AdmissionDeniedSplits = 0;
 
-  /// Total event weight of admission-denied arrivals (saturating).
-  /// The extra under-count any range estimate can accumulate from
-  /// admission, beyond the normal eps*n machinery, is at most this —
-  /// the closed-form bound AdmissionAccuracyTest and the oracle
-  /// verify.
-  uint64_t AdmissionDeferredWeight = 0;
+  /// Total event weight of admission-denied arrivals. The extra
+  /// under-count any range estimate can accumulate from admission,
+  /// beyond the normal eps*n machinery, is at most this — the
+  /// closed-form bound AdmissionAccuracyTest and the oracle verify.
+  SaturatingWeight AdmissionDeferredWeight;
 };
 
 } // namespace rap

@@ -161,7 +161,7 @@ struct RapConfig {
 
   /// Validates all parameters. Returns true if usable; otherwise
   /// returns false and, if \p Error is non-null, stores a diagnostic.
-  bool validate(std::string *Error = nullptr) const;
+  [[nodiscard]] bool validate(std::string *Error = nullptr) const;
 };
 
 } // namespace rap

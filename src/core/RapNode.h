@@ -132,8 +132,8 @@ namespace detail {
 ///
 /// where a dead slot holds 0, so subtreeWeight() is one load and a
 /// range read only walks the two boundary paths. Every sum is exact:
-/// RapTree admits no stream total past 2^64-1 (its saturating adds
-/// never clamp). RapTree::addPoint adds the event weight on every level
+/// RapTree admits no stream total past 2^64-1, so its plain adds
+/// never wrap. RapTree::addPoint adds the event weight on every level
 /// of its descent, and a merge fold only kills the child (zeroing its
 /// slot), whose weight the parent's sum already holds, so the parent's
 /// count rises by itself. Fresh and revived slots start at 0.

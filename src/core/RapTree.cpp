@@ -339,11 +339,11 @@ RapNode RapTree::findSmallestCover(uint64_t X) const {
 
 void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   // No weight past a 2^64-1 stream total is admitted, so no sum (nor
-  // count) saturates; the degraded bound charges the excess.
+  // count) can wrap and the adds below are plain; the degraded bound
+  // charges the excess.
   uint64_t Headroom = ~uint64_t(0) - NumEvents;
   if (Weight > Headroom)
-    Pressure.DegradedWeight =
-        saturatingAdd(Pressure.DegradedWeight, Weight - Headroom);
+    Pressure.DegradedWeight.add(Weight - Headroom);
   Weight = std::min(Weight, Headroom);
   // A zero-weight event carries no information; returning early keeps
   // it from perturbing the structure (the split check below fires on
@@ -353,7 +353,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
     return;
   assert((Config.RangeBits == 64 || X < (uint64_t(1) << Config.RangeBits)) &&
          "event outside the configured universe");
-  NumEvents = saturatingAdd(NumEvents, Weight);
+  NumEvents += Weight;
 
   // Finger descent: the previous update's path is still a root path
   // of the tree (see Finger in RapTree.h), and its nodes down to depth
@@ -372,7 +372,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   uint32_t Start = 0;
   if (Depth != 0) {
     for (unsigned I = 0; I != Depth; ++I)
-      Sums[Finger[I]] = saturatingAdd(Sums[Finger[I]], Weight);
+      Sums[Finger[I]] += Weight;
     Start = Finger[Depth];
   }
   unsigned Step = Depth * Config.bitsPerLevel();
@@ -380,7 +380,7 @@ void RapTree::addPoint(uint64_t X, uint64_t Weight) {
   bool AtLeaf;
   uint32_t Node = descend(Arena, Start, X, Width, AtLeaf,
                           [Sums, Weight, Path = Finger, &Depth](uint32_t N) {
-                            Sums[N] = saturatingAdd(Sums[N], Weight);
+                            Sums[N] += Weight;
                             Path[Depth++] = N;
                           });
   FingerLast = Depth - 1;
@@ -438,8 +438,7 @@ bool RapTree::admitSplit(uint64_t NewCount, uint64_t Weight) {
   // probability scheme: any range's extra under-count is at most the
   // total charged weight.
   ++Pressure.AdmissionDeniedSplits;
-  Pressure.AdmissionDeferredWeight =
-      saturatingAdd(Pressure.AdmissionDeferredWeight, Weight);
+  Pressure.AdmissionDeferredWeight.add(Weight);
   return false;
 }
 
@@ -482,7 +481,7 @@ uint64_t RapTree::forcedMergePass() {
   mergeWalk(0, Threshold, Removed, &Folded);
   ++Pressure.ForcedMergePasses;
   Pressure.ReclaimedNodes += Removed;
-  Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Folded);
+  Pressure.DegradedWeight.add(Folded);
   rebuildFence();
   return Removed;
 }
@@ -504,7 +503,7 @@ void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
     if (Pressure.ForcedMergePasses != 0 && Count > Weight &&
         static_cast<double>(Count - Weight) >
             Config.splitThreshold(NumEvents)) {
-      Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
+      Pressure.DegradedWeight.add(Weight);
       Charged = true;
     }
     uint64_t Need = splitAllocCount(Node, Width);
@@ -525,8 +524,7 @@ void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
         // granularity. Escalate so the next pass folds harder.
         ++Pressure.RefusedSplits;
         if (!Charged)
-          Pressure.DegradedWeight =
-              saturatingAdd(Pressure.DegradedWeight, Weight);
+          Pressure.DegradedWeight.add(Weight);
         if (Pressure.CoarsenLevel < MaxCoarsenLevel)
           ++Pressure.CoarsenLevel;
         return;
@@ -541,7 +539,7 @@ void RapTree::trySplit(uint32_t Node, unsigned Width, uint64_t X,
     ++Pressure.AllocFailures;
     ++Pressure.RefusedSplits;
     if (!Charged)
-      Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
+      Pressure.DegradedWeight.add(Weight);
   }
 }
 
@@ -639,7 +637,7 @@ void RapTree::unionWith(uint32_t Mine, const RapNode &Theirs) {
   // merge pass re-compacts whatever is no longer warranted).
   // Everything Theirs holds lands in this subtree; the children below
   // add their own shares to their own sums (absorb checked the fit).
-  Arena.Sums[Mine] = saturatingAdd(Arena.Sums[Mine], Theirs.subtreeWeight());
+  Arena.Sums[Mine] += Theirs.subtreeWeight();
   if (!Theirs.hasChildren())
     return;
   // Both trees share the geometry, so Mine has Theirs' width.
@@ -677,11 +675,15 @@ void RapTree::absorb(const RapTree &Other) {
   if (Other.NumEvents <= Headroom) {
     unionWith(0, Other.root());
   } else {
-    Arena.Sums[0] = saturatingAdd(Arena.Sums[0], Headroom);
-    Pressure.DegradedWeight =
-        saturatingAdd(Pressure.DegradedWeight, Other.NumEvents);
+    Arena.Sums[0] += Headroom;
+    Pressure.DegradedWeight.add(Other.NumEvents);
   }
-  NumEvents = saturatingAdd(NumEvents, Other.NumEvents);
+  NumEvents += std::min(Other.NumEvents, Headroom);
+  // Other's estimates already fell short of its own stream by up to
+  // these terms; the union's estimates inherit that shortfall, so its
+  // bound inherits the terms.
+  Pressure.DegradedWeight.add(Other.Pressure.DegradedWeight);
+  Pressure.AdmissionDeferredWeight.add(Other.Pressure.AdmissionDeferredWeight);
   MaxNumNodes = std::max(MaxNumNodes, NumNodes);
   // Re-compact at the combined stream position and realign the merge
   // schedule with it.
@@ -736,7 +738,7 @@ void RapTree::straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
   // straddling first one and moves on to a straddling last one.
   for (;;) {
     if (WantUpper)
-      Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.ownCount(Node));
+      Bounds.Upper += Arena.ownCount(Node);
     uint64_t Nav = Arena.Navs[Node];
     if (NodeArena::navIsLeaf(Nav))
       return;
@@ -753,8 +755,8 @@ void RapTree::straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
         continue; // Sub-range merged into this node: counted above.
       uint64_t ChildLo = NodeLo + (Slot << Shift);
       if (Lo <= ChildLo && ChildLo + lowBitMask(Shift) <= Hi) {
-        Bounds.Lower = saturatingAdd(Bounds.Lower, Arena.Sums[Child]);
-        Bounds.Upper = saturatingAdd(Bounds.Upper, Arena.Sums[Child]);
+        Bounds.Lower += Arena.Sums[Child];
+        Bounds.Upper += Arena.Sums[Child];
       } else if (Slot != LastSlot) {
         straddleWalk(Child, ChildLo, Shift, Lo, Hi, WantUpper, Bounds);
       } else {

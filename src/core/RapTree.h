@@ -150,8 +150,10 @@ public:
   /// how per-thread shard profiles are aggregated into one: each
   /// shard's eps guarantee is relative to its own stream, so the
   /// combined under-estimate of any range is at most
-  /// eps * (n_this + n_other). A union past a 2^64-1 total instead adds
-  /// what fits to the root and charges \p Other's weight as degraded.
+  /// eps * (n_this + n_other) plus both trees' degraded and
+  /// admission-deferred weights, which the union carries. A union past
+  /// a 2^64-1 total instead adds what fits to the root and charges
+  /// \p Other's weight as degraded.
   void absorb(const RapTree &Other);
 
   /// The configuration this tree was built with.
@@ -304,7 +306,7 @@ public:
   void restoreAdmissionState(uint64_t RngState, uint64_t DeferredWeight,
                              uint64_t DeniedSplits) {
     AdmissionRngState = RngState;
-    Pressure.AdmissionDeferredWeight = DeferredWeight;
+    Pressure.AdmissionDeferredWeight = SaturatingWeight(DeferredWeight);
     Pressure.AdmissionDeniedSplits = DeniedSplits;
   }
 

@@ -51,7 +51,7 @@ void writeU8(std::ostream &OS, uint8_t Value) {
   OS.put(static_cast<char>(Value));
 }
 
-bool readU32(std::istream &IS, uint32_t &Value) {
+[[nodiscard]] bool readU32(std::istream &IS, uint32_t &Value) {
   unsigned char Bytes[4];
   if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
     return false;
@@ -68,7 +68,7 @@ class CrcIn {
 public:
   explicit CrcIn(std::istream &Stream) : IS(Stream) {}
 
-  bool read(void *Buffer, size_t Size) {
+  [[nodiscard]] bool read(void *Buffer, size_t Size) {
     if (!IS.read(static_cast<char *>(Buffer),
                  static_cast<std::streamsize>(Size)))
       return false;
@@ -84,7 +84,7 @@ private:
   Crc32 Sum;
 };
 
-bool readU32(CrcIn &IS, uint32_t &Value) {
+[[nodiscard]] bool readU32(CrcIn &IS, uint32_t &Value) {
   unsigned char Bytes[4];
   if (!IS.read(Bytes, 4))
     return false;
@@ -94,7 +94,7 @@ bool readU32(CrcIn &IS, uint32_t &Value) {
   return true;
 }
 
-bool readU64(CrcIn &IS, uint64_t &Value) {
+[[nodiscard]] bool readU64(CrcIn &IS, uint64_t &Value) {
   unsigned char Bytes[8];
   if (!IS.read(Bytes, 8))
     return false;
@@ -104,7 +104,7 @@ bool readU64(CrcIn &IS, uint64_t &Value) {
   return true;
 }
 
-bool readF64(CrcIn &IS, double &Value) {
+[[nodiscard]] bool readF64(CrcIn &IS, double &Value) {
   uint64_t Bits;
   if (!readU64(IS, Bits))
     return false;
@@ -112,7 +112,7 @@ bool readF64(CrcIn &IS, double &Value) {
   return true;
 }
 
-bool readU8(CrcIn &IS, uint8_t &Value) {
+[[nodiscard]] bool readU8(CrcIn &IS, uint8_t &Value) {
   return IS.read(&Value, 1);
 }
 

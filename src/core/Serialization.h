@@ -123,7 +123,7 @@ public:
   /// Writes the current (version-4) binary format, CRC footer
   /// included. Returns false if the stream failed; partial output may
   /// have been written, but its checksum will not verify.
-  bool writeBinary(std::ostream &OS) const;
+  [[nodiscard]] bool writeBinary(std::ostream &OS) const;
 
   /// Reads any supported binary format version. Returns nullptr and
   /// sets \p Error (and \p Kind, when non-null) on a malformed stream:
@@ -134,7 +134,7 @@ public:
 
   /// Writes a one-node-per-line text format (`lo width count`, hex lo).
   /// Returns false if the stream failed.
-  bool writeText(std::ostream &OS) const;
+  [[nodiscard]] bool writeText(std::ostream &OS) const;
 
   /// Reads the text format written by writeText.
   static std::unique_ptr<ProfileSnapshot>
@@ -146,8 +146,9 @@ public:
   /// a crash or write failure never leaves a half-written profile
   /// under the final name. Returns false (removing the temp file) on
   /// any failure.
-  bool saveFileAtomic(const std::string &Path, std::string *Error = nullptr,
-                      ProfileIoError *Kind = nullptr) const;
+  [[nodiscard]] bool saveFileAtomic(const std::string &Path,
+                                    std::string *Error = nullptr,
+                                    ProfileIoError *Kind = nullptr) const;
 
   /// Loads a profile from \p Path, binary or text. Streams that begin
   /// with the binary magic are only parsed as binary — a corrupt

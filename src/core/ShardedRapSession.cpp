@@ -10,7 +10,8 @@
 #include "support/BitUtils.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace rap {
 
@@ -42,7 +43,10 @@ ShardedRapSession::ShardedRapSession(const RapConfig &ConfigIn,
       ShardCount(roundUpPow2(ShardCountIn == 0 ? 1 : ShardCountIn,
                              MaxShards)),
       ShardMask(ShardCount - 1) {
-  assert(Config.validate() && "config must validate");
+  std::string Error;
+  if (!Config.validate(&Error))
+    throw std::invalid_argument("ShardedRapSession: invalid config: " +
+                                Error);
   Shards.reserve(ShardCount);
   for (unsigned I = 0; I < ShardCount; ++I) {
     auto S = std::make_unique<Shard>();

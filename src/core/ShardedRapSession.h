@@ -69,7 +69,8 @@ public:
   /// to a power of two, clamped to [1, MaxShards]). \p CombineEvery
   /// is the per-shard pending-weight watermark that triggers an
   /// automatic combine; 0 disables automatic combining (callers then
-  /// drive combineNow() themselves).
+  /// drive combineNow() themselves). Throws std::invalid_argument if
+  /// \p Config does not validate, before any shard is built.
   explicit ShardedRapSession(const RapConfig &Config, unsigned ShardCount,
                              uint64_t CombineEvery = DefaultCombineEvery);
 

@@ -36,7 +36,7 @@ struct CacheConfig {
 
   /// Validates the geometry (power-of-two sets and line size). Returns
   /// true if usable; otherwise false with a diagnostic in \p Error.
-  bool validate(std::string *Error = nullptr) const;
+  [[nodiscard]] bool validate(std::string *Error = nullptr) const;
 };
 
 /// One set-associative cache level with true-LRU replacement.

@@ -53,7 +53,7 @@ public:
   /// Parses \p Argv. On "--help" prints usage and returns false; on a
   /// malformed or unknown flag prints an error plus usage to stderr and
   /// returns false. Returns true when the program should proceed.
-  bool parse(int Argc, const char *const *Argv);
+  [[nodiscard]] bool parse(int Argc, const char *const *Argv);
 
   /// Accessors; the flag must have been registered with matching type.
   const std::string &getString(const std::string &Name) const;

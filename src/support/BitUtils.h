@@ -59,10 +59,10 @@ constexpr uint64_t lowBitMask(unsigned Bits) {
 /// need exact widths should work in log space instead.
 constexpr uint64_t widthForBits(unsigned Bits) { return lowBitMask(Bits); }
 
-/// Returns A + B, clamped to 2^64-1 on overflow. Counter updates and
-/// subtree-weight sums use this so a stream whose total weight exceeds
-/// the counter width degrades to a saturated (still monotone) count
-/// instead of silently wrapping.
+/// Returns A + B, clamped to 2^64-1 on overflow. Totals that can pass
+/// the counter width (cross-shard sums, the pressure weights) use this
+/// so they degrade to a saturated (still monotone) count instead of
+/// silently wrapping.
 constexpr uint64_t saturatingAdd(uint64_t A, uint64_t B) {
   uint64_t Sum = A + B;
   return Sum < A ? ~uint64_t(0) : Sum;

@@ -50,7 +50,7 @@ const char *name(Fp Point);
 
 /// Parses a failpoint name back to its id. Returns false on an
 /// unknown name.
-bool parseName(const std::string &Name, Fp &Point);
+[[nodiscard]] bool parseName(const std::string &Name, Fp &Point);
 
 namespace detail {
 /// Number of currently armed failpoints; the disarmed fast path is a
@@ -98,7 +98,8 @@ bool shouldFail(Fp Point);
 /// Modes: `once[:skip]`, `every:N`, `count`. Returns false (and sets
 /// \p Error if non-null) on a malformed spec; sites named before the
 /// malformed entry stay armed.
-bool configure(const std::string &Spec, std::string *Error = nullptr);
+[[nodiscard]] bool configure(const std::string &Spec,
+                             std::string *Error = nullptr);
 
 /// RAII helper for tests: disarms everything on scope exit so a
 /// failing assertion cannot leak an armed failpoint into later tests.

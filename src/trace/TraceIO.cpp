@@ -37,7 +37,7 @@ void writeU64(std::ostream &OS, uint64_t Value) {
   OS.write(reinterpret_cast<const char *>(Bytes), 8);
 }
 
-bool readU32(std::istream &IS, uint32_t &Value) {
+[[nodiscard]] bool readU32(std::istream &IS, uint32_t &Value) {
   unsigned char Bytes[4];
   if (!IS.read(reinterpret_cast<char *>(Bytes), 4))
     return false;
@@ -47,7 +47,7 @@ bool readU32(std::istream &IS, uint32_t &Value) {
   return true;
 }
 
-bool readU64(std::istream &IS, uint64_t &Value) {
+[[nodiscard]] bool readU64(std::istream &IS, uint64_t &Value) {
   unsigned char Bytes[8];
   if (!IS.read(reinterpret_cast<char *>(Bytes), 8))
     return false;

@@ -49,7 +49,7 @@ public:
   /// seekable stream. Returns false if the stream failed at any point
   /// — the trace on disk is then truncated or has a wrong record
   /// count, and the caller must not report success.
-  bool finish();
+  [[nodiscard]] bool finish();
 
 private:
   std::ostream &OS;
@@ -79,7 +79,7 @@ public:
   /// Reads the next record into \p Record. Returns false at the end of
   /// the trace or on corruption (valid() turns false and error() is
   /// set in the latter case).
-  bool next(TraceRecord &Record);
+  [[nodiscard]] bool next(TraceRecord &Record);
 
 private:
   std::istream &IS;

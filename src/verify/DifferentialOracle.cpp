@@ -375,7 +375,8 @@ void DifferentialOracle::checkReference() {
          " refused=%" PRIu64 "/%" PRIu64 " degraded=%" PRIu64 "/%" PRIu64
          " denied=%" PRIu64 "/%" PRIu64,
          P.ForcedMergePasses, L.ForcedMergePasses, P.RefusedSplits,
-         L.RefusedSplits, P.DegradedWeight, L.DegradedWeight,
+         L.RefusedSplits, uint64_t(P.DegradedWeight),
+         uint64_t(L.DegradedWeight),
          P.AdmissionDeniedSplits, L.AdmissionDeniedSplits);
   if (Tree.mergeEventCounts() != Reference->mergeEventCounts())
     fail(Violations, "arena-reference-divergence",

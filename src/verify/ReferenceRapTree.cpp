@@ -79,8 +79,7 @@ ReferenceRapTree::Node *ReferenceRapTree::descend(uint64_t X) {
 void ReferenceRapTree::addPoint(uint64_t X, uint64_t Weight) {
   uint64_t Headroom = ~uint64_t(0) - NumEvents;
   if (Weight > Headroom)
-    Pressure.DegradedWeight =
-        saturatingAdd(Pressure.DegradedWeight, Weight - Headroom);
+    Pressure.DegradedWeight.add(Weight - Headroom);
   Weight = std::min(Weight, Headroom);
   if (Weight == 0)
     return;
@@ -113,8 +112,7 @@ bool ReferenceRapTree::admitSplit(uint64_t NewCount, uint64_t Weight) {
   if (Draw < Over / (Config.AdmissionCoarseness * Threshold + 1.0))
     return true;
   ++Pressure.AdmissionDeniedSplits;
-  Pressure.AdmissionDeferredWeight =
-      saturatingAdd(Pressure.AdmissionDeferredWeight, Weight);
+  Pressure.AdmissionDeferredWeight.add(Weight);
   return false;
 }
 
@@ -142,7 +140,7 @@ uint64_t ReferenceRapTree::forcedMergePass() {
   mergeWalk(*Root, Threshold, Removed, &Folded);
   ++Pressure.ForcedMergePasses;
   Pressure.ReclaimedNodes += Removed;
-  Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Folded);
+  Pressure.DegradedWeight.add(Folded);
   return Removed;
 }
 
@@ -156,7 +154,7 @@ void ReferenceRapTree::trySplit(Node *N, uint64_t X, uint64_t Weight) {
   if (Pressure.ForcedMergePasses != 0 && N->Count > Weight &&
       static_cast<double>(N->Count - Weight) >
           Config.splitThreshold(NumEvents)) {
-    Pressure.DegradedWeight = saturatingAdd(Pressure.DegradedWeight, Weight);
+    Pressure.DegradedWeight.add(Weight);
     Charged = true;
   }
   if (NumNodes + splitAllocCount(*N) > Budget) {
@@ -169,8 +167,7 @@ void ReferenceRapTree::trySplit(Node *N, uint64_t X, uint64_t Weight) {
     if (!StillWants || NumNodes + splitAllocCount(*N) > Budget) {
       ++Pressure.RefusedSplits;
       if (!Charged)
-        Pressure.DegradedWeight =
-            saturatingAdd(Pressure.DegradedWeight, Weight);
+        Pressure.DegradedWeight.add(Weight);
       if (Pressure.CoarsenLevel < MaxCoarsenLevel)
         ++Pressure.CoarsenLevel;
       return;

@@ -16,6 +16,25 @@
 #include <thread>
 #include <vector>
 
+// Every C entry point is noexcept: a C++ exception unwinding into a C
+// caller is undefined behavior, while a noexcept function that throws
+// terminates, which is defined.
+static_assert(noexcept(rap_init(0, 0.0, 0)));
+static_assert(noexcept(rap_init_budgeted(0, 0.0, 0, 0)));
+static_assert(noexcept(rap_init_admission(0, 0.0, 0, 0.0, 0)));
+static_assert(noexcept(rap_add_points(nullptr, nullptr, 0)));
+static_assert(noexcept(rap_num_events(nullptr)));
+static_assert(noexcept(rap_num_nodes(nullptr)));
+static_assert(noexcept(rap_estimate_range(nullptr, 0, 0)));
+static_assert(noexcept(rap_top_k(nullptr, nullptr, 0)));
+static_assert(noexcept(rap_finalize(nullptr, nullptr, 0)));
+static_assert(noexcept(rap_pressure_stats(nullptr, nullptr)));
+static_assert(noexcept(rap_save_profile(nullptr, nullptr)));
+static_assert(noexcept(rap_load_profile(nullptr)));
+static_assert(noexcept(rap_last_error()));
+static_assert(noexcept(rap_errno()));
+static_assert(noexcept(rap_clear_error()));
+
 TEST(CApi, InitAddFinalizeRoundTrip) {
   rap_handle *Handle = rap_init(16, 0.05, 0);
   ASSERT_NE(Handle, nullptr);

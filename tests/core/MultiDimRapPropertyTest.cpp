@@ -26,6 +26,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <initializer_list>
 #include <map>
 #include <string>
 #include <vector>
@@ -147,12 +148,13 @@ void digestNodes(const RapNode &Node, Fnv64 &F, uint64_t &Count) {
 uint64_t profileDigest(const MdRapTree &Tree) {
   Fnv64 F;
   const TreePressure &P = Tree.pressure();
-  for (uint64_t Word :
-       {Tree.numEvents(), Tree.numNodes(), Tree.maxNumNodes(),
-        Tree.numSplits(), Tree.numMergePasses(), P.NodeBudget, P.BudgetHits,
-        P.RefusedSplits, P.ForcedMergePasses, P.ReclaimedNodes,
-        P.CoarsenLevel, P.DegradedWeight, P.AllocFailures,
-        P.AdmissionDeniedSplits, P.AdmissionDeferredWeight})
+  for (uint64_t Word : std::initializer_list<uint64_t>{
+           Tree.numEvents(), Tree.numNodes(), Tree.maxNumNodes(),
+           Tree.numSplits(), Tree.numMergePasses(), P.NodeBudget,
+           P.BudgetHits, P.RefusedSplits, P.ForcedMergePasses,
+           P.ReclaimedNodes, P.CoarsenLevel, P.DegradedWeight,
+           P.AllocFailures, P.AdmissionDeniedSplits,
+           P.AdmissionDeferredWeight})
     F.add(Word);
   uint64_t Count = 0;
   digestNodes(Tree.tree().root(), F, Count);

@@ -141,3 +141,36 @@ TEST(RapTreeAbsorb, ManyShardsScale) {
   // Far fewer nodes than the shards' sum of peaks.
   EXPECT_LT(Combined.numNodes(), 8 * 3000u);
 }
+
+// A tree's estimates fall short of its own stream by up to eps*n plus
+// its degraded and admission-deferred weights. The union inherits each
+// absorbed tree's shortfall, so its bound must carry those terms too.
+TEST(RapTreeAbsorb, CarriesDegradedWeight) {
+  RapConfig Budgeted = shardConfig();
+  Budgeted.MaxNodes = 16;
+  RapTree Shard(Budgeted);
+  for (uint64_t X = 0; X != 20000; ++X)
+    Shard.addPoint(X);
+  ASSERT_GT(Shard.degradedWeight(), 0u);
+  RapTree Union(shardConfig());
+  Union.absorb(Shard);
+  EXPECT_EQ(Union.degradedWeight(), Shard.degradedWeight());
+}
+
+TEST(RapTreeAbsorb, CarriesAdmissionDeferredWeight) {
+  // An enormous coarseness denies (nearly) every due split.
+  RapConfig Gated = shardConfig();
+  Gated.EnableAdmission = true;
+  Gated.AdmissionCoarseness = 1e15;
+  Gated.AdmissionSeed = 0x5eed;
+  RapTree Shard(Gated);
+  for (int I = 0; I != 5000; ++I)
+    Shard.addPoint(42);
+  ASSERT_GT(Shard.admissionDeferredWeight(), 0u);
+  RapTree Union(shardConfig());
+  Union.absorb(Shard);
+  EXPECT_EQ(Union.admissionDeferredWeight(), Shard.admissionDeferredWeight());
+  Union.absorb(Shard);
+  EXPECT_EQ(Union.admissionDeferredWeight(),
+            2 * Shard.admissionDeferredWeight());
+}

@@ -24,6 +24,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
@@ -64,6 +65,20 @@ TEST(ShardedRapSession, ShardCountRoundsToPowerOfTwo) {
   EXPECT_EQ(ShardedRapSession(sessionConfig(), 8).shardCount(), 8u);
   EXPECT_EQ(ShardedRapSession(sessionConfig(), 1000).shardCount(),
             ShardedRapSession::MaxShards);
+}
+
+TEST(ShardedRapSession, InvalidConfigThrows) {
+  // The session checks the config itself, before any shard's tree
+  // would reject it, in every build type.
+  RapConfig Config = sessionConfig();
+  Config.Epsilon = 0;
+  try {
+    ShardedRapSession Session(Config, 4);
+    ADD_FAILURE() << "an invalid config built a session";
+  } catch (const std::invalid_argument &E) {
+    EXPECT_EQ(std::string(E.what()).rfind("ShardedRapSession:", 0), 0u)
+        << E.what();
+  }
 }
 
 TEST(ShardedRapSession, ShardIndexIsStableAndInRange) {

@@ -169,7 +169,7 @@ TEST(TraceIO, PositionTracksConsumption) {
   TraceReader Reader(Stream);
   TraceRecord Record;
   EXPECT_EQ(Reader.position(), 0u);
-  Reader.next(Record);
-  Reader.next(Record);
+  ASSERT_TRUE(Reader.next(Record));
+  ASSERT_TRUE(Reader.next(Record));
   EXPECT_EQ(Reader.position(), 2u);
 }

@@ -5,7 +5,14 @@
 # (Mysore et al., CGO 2006). MIT license.
 #
 # One command, the whole gate:
-#   1. plain build (RAP_WERROR=ON) + full test suite
+#   1. plain build (RAP_WERROR=ON) + full test suite. Every build leg
+#      below also fails on a dropped [[nodiscard]] status
+#      (-Werror=unused-result) and on an undeclared extern "C"
+#      definition in CApi.cpp (-Werror=missing-declarations), links
+#      the header self-containment program (a non-inline definition in
+#      a header is a link error), and runs the source_hygiene script
+#      test (include guards; no clock or randomness in core/, hw/,
+#      verify/; no stdio in the hot-path files)
 #   1b. asserts-on build: RelWithDebInfo with "-O2 -g" instead of the
 #      default "-O2 -g -DNDEBUG", so every invariant assert is compiled
 #      in, + full test suite (the plain build runs with them all off)
@@ -35,12 +42,9 @@
 #      watermark combiner under TSan. This is the session's lock
 #      check: a data race or a lock-order inversion fails the step,
 #      on every path the threaded tests run
-#   6. rap_lint (token rules, flow rules, and the cross-TU API audit)
-#      over src/ and tools/ against tools/lint_baseline.txt, merged
-#      SARIF report to build/lint.sarif
-#   7. when clang++ is installed: a clang build of rap_core with
+#   6. when clang++ is installed: a clang build of rap_core with
 #      -Wthread-safety, a static check of every RAP_GUARDED_BY access
-#   8. perfbench: the end-to-end benchmark (perfbench/CMakeLists.txt,
+#   7. perfbench: the end-to-end benchmark (perfbench/CMakeLists.txt,
 #      which compiles the profiler straight from src/) configured into
 #      its own build-perfbench/ tree, built, and its helper self-tests
 #      run — proves the unmodified benchmark still compiles against the
@@ -106,12 +110,6 @@ cmake --build build-tsan -j "$JOBS"
 # the plain/ASan/UBSan legs above, where it runs far faster.
 ctest --test-dir build-tsan --output-on-failure -j "$JOBS" -L concurrency
 ./build-tsan/tools/rap_fuzz --sharded --episodes=25 --seed=1 --events=8000
-
-step "rap_lint + api-audit (SARIF report: build/lint.sarif)"
-./build/tools/rap_lint --root=. --api-audit \
-    --format=sarif --output=build/lint.sarif src tools
-./build/tools/rap_lint --root=. --api-audit \
-    --baseline=tools/lint_baseline.txt src tools
 
 # Clang's -Wthread-safety checks every RAP_GUARDED_BY access
 # statically, including lock paths no threaded test runs, which TSan

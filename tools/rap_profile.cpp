@@ -53,7 +53,8 @@ namespace {
 /// Which field of a TraceRecord feeds the profile.
 enum class ProfileKind { Code, Value, Address, ZeroAddress, NarrowPc };
 
-bool parseProfileKind(const std::string &Name, ProfileKind &Kind) {
+[[nodiscard]] bool parseProfileKind(const std::string &Name,
+                                    ProfileKind &Kind) {
   if (Name == "code")
     Kind = ProfileKind::Code;
   else if (Name == "value")
@@ -242,7 +243,7 @@ int runCollect(const ArgParse &Args) {
                 ", degraded-weight=%" PRIu64 "\n",
                 P.NodeBudget, P.BudgetHits, P.RefusedSplits,
                 P.ForcedMergePasses, P.ReclaimedNodes, P.CoarsenLevel,
-                P.DegradedWeight);
+                uint64_t(P.DegradedWeight));
   return 0;
 }
 
