@@ -853,9 +853,21 @@ std::vector<HotRange> RapTree::extractHotRanges(double Phi) const {
   return Out;
 }
 
+/// topK's strict total order: Retained descending, then Lo ascending,
+/// then WidthBits ascending. Node ranges are unique, so (Lo,
+/// WidthBits) breaks every Retained tie and topK(k) is a prefix of
+/// topK(k + m) over the same tree (k-nesting).
+static bool rankedBefore(const TopKRange &A, const TopKRange &B) {
+  if (A.Retained != B.Retained)
+    return A.Retained > B.Retained;
+  if (A.Lo != B.Lo)
+    return A.Lo < B.Lo;
+  return A.WidthBits < B.WidthBits;
+}
+
 void RapTree::topKWalk(uint32_t Node, uint64_t Lo, unsigned Width,
-                       unsigned Depth, uint64_t AncestorOwn,
-                       std::vector<TopKRange> &Out) const {
+                       unsigned Depth, uint64_t AncestorOwn, size_t K,
+                       std::vector<TopKRange> &Best) const {
   TopKRange R;
   R.Lo = Lo;
   R.Hi = Lo + lowBitMask(Width);
@@ -869,41 +881,39 @@ void RapTree::topKWalk(uint32_t Node, uint64_t Lo, unsigned Width,
   // inside the ancestor's wider range.
   R.LowerWeight = Arena.Sums[Node];
   R.UpperWeight = saturatingAdd(R.LowerWeight, AncestorOwn);
-  Out.push_back(R);
-  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, R.Retained);
+  // Best is a heap whose front is its worst entry.
+  if (Best.size() < K) {
+    Best.push_back(R);
+    std::push_heap(Best.begin(), Best.end(), rankedBefore);
+  } else if (rankedBefore(R, Best.front())) {
+    std::pop_heap(Best.begin(), Best.end(), rankedBefore);
+    Best.back() = R;
+    std::push_heap(Best.begin(), Best.end(), rankedBefore);
+  }
   if (Leaf)
     return;
+  uint64_t ChildAncestorOwn = saturatingAdd(AncestorOwn, R.Retained);
   Arena.forEachLiveChild(
       Node, Lo, [&](uint32_t Child, uint64_t ChildLo, unsigned ChildWidth) {
-        topKWalk(Child, ChildLo, ChildWidth, Depth + 1, ChildAncestorOwn, Out);
+        // No own count in a subtree exceeds its sum, so once Best is
+        // full a subtree summing to less than the worst kept Retained
+        // holds nothing that ranks. An equal sum may still win the
+        // (Lo, WidthBits) tie-break, so it is walked.
+        if (Best.size() == K && Arena.Sums[Child] < Best.front().Retained)
+          return;
+        topKWalk(Child, ChildLo, ChildWidth, Depth + 1, ChildAncestorOwn, K,
+                 Best);
       });
 }
 
 std::vector<TopKRange> RapTree::topK(size_t K) const {
-  std::vector<TopKRange> Out;
+  std::vector<TopKRange> Best;
   if (K == 0)
-    return Out;
-  Out.reserve(NumNodes);
-  topKWalk(0, 0, Config.RangeBits, 0, 0, Out);
-  // Strict total order (node ranges are unique, so (Lo, WidthBits)
-  // breaks every Retained tie): the k-nesting property topK(k) ⊆
-  // topK(k+m) falls out of prefix-of-a-fixed-order.
-  auto Before = [](const TopKRange &A, const TopKRange &B) {
-    if (A.Retained != B.Retained)
-      return A.Retained > B.Retained;
-    if (A.Lo != B.Lo)
-      return A.Lo < B.Lo;
-    return A.WidthBits < B.WidthBits;
-  };
-  if (Out.size() > K) {
-    std::partial_sort(Out.begin(),
-                      Out.begin() + static_cast<std::ptrdiff_t>(K), Out.end(),
-                      Before);
-    Out.resize(K);
-  } else {
-    std::sort(Out.begin(), Out.end(), Before);
-  }
-  return Out;
+    return Best;
+  Best.reserve(static_cast<size_t>(std::min<uint64_t>(K, NumNodes)));
+  topKWalk(0, 0, Config.RangeBits, 0, 0, K, Best);
+  std::sort_heap(Best.begin(), Best.end(), rankedBefore);
+  return Best;
 }
 
 /// Prints one node line: hex range, own count, subtree weight, percent.

@@ -85,6 +85,9 @@ struct TopKRange {
   /// Provable upper bound: subtree weight plus every ancestor's own
   /// counter (those events may or may not fall inside [Lo, Hi]).
   uint64_t UpperWeight = 0;
+
+  /// Field-for-field equality.
+  bool operator==(const TopKRange &) const = default;
 };
 
 /// The RAP profile tree.
@@ -279,9 +282,16 @@ public:
   /// value whose exact count is at least the k-th Retained score plus
   /// the tree's error budget is covered by some reported range.
   /// Returns fewer than \p K entries when the tree has fewer nodes.
-  /// One O(numNodes) walk (every node's brackets are O(1) reads of the
-  /// subtree-sum column) plus an O(numNodes log K) partial sort; no
-  /// allocation beyond the result vector.
+  /// One depth-first walk that keeps the K best entries in a K-slot
+  /// heap and, once the heap is full, skips every subtree whose sum is
+  /// below the K-th best Retained (no own count exceeds its subtree
+  /// sum, so the skip is exact). It visits each node whose subtree sum
+  /// reaches the worst Retained kept when the walk gets there (so at
+  /// least every node whose sum reaches the final K-th best), reading
+  /// b child sums and doing O(log K) heap work per visited node; each
+  /// bracket is an O(1) read of the subtree-sum column. K at or past
+  /// numNodes() prunes nothing. The only allocation is the result
+  /// vector, min(K, numNodes()) entries.
   std::vector<TopKRange> topK(size_t K) const;
 
   /// Due splits denied by the randomized admission gate (zero when
@@ -344,7 +354,8 @@ private:
   uint64_t hotWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
                    double Threshold, std::vector<HotRange> &Out) const;
   void topKWalk(uint32_t Node, uint64_t Lo, unsigned Width, unsigned Depth,
-                uint64_t AncestorOwn, std::vector<TopKRange> &Out) const;
+                uint64_t AncestorOwn, size_t K,
+                std::vector<TopKRange> &Best) const;
   RangeBounds boundsWalk(uint64_t Lo, uint64_t Hi, bool WantUpper) const;
   void straddleWalk(uint32_t Node, uint64_t NodeLo, unsigned Width,
                     uint64_t Lo, uint64_t Hi, bool WantUpper,

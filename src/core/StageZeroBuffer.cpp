@@ -10,6 +10,7 @@
 #include "support/FailPoint.h"
 
 #include <algorithm>
+#include <bit>
 #include <new>
 
 using namespace rap;
@@ -20,10 +21,11 @@ using Pair = std::pair<uint64_t, uint64_t>;
 
 /// Ascending sort by event. Drains happen once per window but sort a
 /// whole table, so a comparison sort would dominate the amortized
-/// per-push cost; LSD radix on the key bytes keeps it linear. Digits
-/// above the highest set key bit are skipped, as is any pass where
-/// every key shares the digit. The result may end up in \p Tmp; the
-/// caller swaps it back.
+/// per-push cost; LSD radix on the key bytes keeps it linear. Bytes
+/// above the highest set key bit are never counted; one pass counts
+/// the histograms of all the others, and a byte every key shares then
+/// costs no pass. The result may end up in \p Tmp; the caller swaps it
+/// back.
 void sortPairsByEvent(std::vector<Pair> &V, std::vector<Pair> &Tmp) {
   if (V.size() < 64) {
     std::sort(V.begin(), V.end());
@@ -32,23 +34,27 @@ void sortPairsByEvent(std::vector<Pair> &V, std::vector<Pair> &Tmp) {
   uint64_t OrAll = 0;
   for (const Pair &P : V)
     OrAll |= P.first;
+  const unsigned Digits = static_cast<unsigned>(std::bit_width(OrAll) + 7) / 8;
+  uint32_t Hist[8][256] = {};
+  for (const Pair &P : V)
+    for (unsigned D = 0; D != Digits; ++D)
+      ++Hist[D][(P.first >> (8 * D)) & 0xff];
   Tmp.resize(V.size());
   std::vector<Pair> *Src = &V, *Dst = &Tmp;
-  for (unsigned Shift = 0; Shift < 64 && (OrAll >> Shift) != 0;
-       Shift += 8) {
-    uint32_t Hist[256] = {0};
-    for (const Pair &P : *Src)
-      ++Hist[(P.first >> Shift) & 0xff];
-    if (Hist[((*Src)[0].first >> Shift) & 0xff] == Src->size())
+  for (unsigned D = 0; D != Digits; ++D) {
+    unsigned Shift = 8 * D;
+    uint32_t *H = Hist[D];
+    if (H[(V[0].first >> Shift) & 0xff] == V.size())
       continue; // every key shares this digit
     uint32_t Sum = 0;
-    for (uint32_t &H : Hist) {
-      uint32_t This = H;
-      H = Sum;
+    for (unsigned B = 0; B != 256; ++B) {
+      uint32_t This = H[B];
+      H[B] = Sum;
       Sum += This;
     }
+    Pair *Out = Dst->data();
     for (const Pair &P : *Src)
-      (*Dst)[Hist[(P.first >> Shift) & 0xff]++] = P;
+      Out[H[(P.first >> Shift) & 0xff]++] = P;
     std::swap(Src, Dst);
   }
   if (Src != &V)
@@ -90,19 +96,25 @@ bool StageZeroBuffer::pushSlow(uint64_t Event, uint64_t W) {
 const std::vector<std::pair<uint64_t, uint64_t>> &StageZeroBuffer::drain() {
   if (RAP_FAILPOINT_HIT(failpoints::Fp::Stage0Drain))
     throw std::bad_alloc();
-  if (Capacity != 0 || Size == 0) {
-    // Collect before clearing any slot: if an allocation fails here or
-    // in the sort below, the table is untouched and the drain can be
-    // retried — buffered weight is never silently dropped.
+  // Collect and sort before clearing any slot: if an allocation fails
+  // in either, the table is untouched and the drain can be retried —
+  // buffered weight is never silently dropped. The order is ascending
+  // event order: deterministic regardless of arrival order and hash
+  // layout.
+  if (Capacity != 0) {
+    // Branch-free collect: every slot is written at the next output
+    // position, which only a live slot advances (hence one spare).
+    Scratch.resize(static_cast<size_t>(Size) + 1);
+    Pair *Out = Scratch.data();
+    size_t N = 0;
+    for (const Slot &S : Table) {
+      Out[N] = {S.Key, S.Val};
+      N += S.Val != 0;
+    }
+    Scratch.resize(N);
+  } else if (Size == 0) {
     Scratch.clear();
-    Scratch.reserve(static_cast<size_t>(Size));
-    for (const Slot &S : Table)
-      if (S.Val != 0)
-        Scratch.emplace_back(S.Key, S.Val);
   }
-  // Ascending event order: deterministic regardless of arrival order
-  // and hash layout. The sort may allocate, so it too runs before the
-  // table is cleared.
   sortPairsByEvent(Scratch, RadixTmp);
   if (Capacity != 0)
     for (Slot &S : Table)

@@ -242,6 +242,34 @@ void DifferentialOracle::checkHotRanges(double Phi) {
   }
 }
 
+void rap::checkTopKPrefix(const RapTree &Tree,
+                          std::initializer_list<size_t> Ks, const char *Which,
+                          std::vector<InvariantViolation> &Out) {
+  // At K = numNodes() the heap fills only at the last node, so the walk
+  // prunes nothing: every pruned report must be a prefix of that one.
+  const size_t N = static_cast<size_t>(Tree.numNodes());
+  std::vector<TopKRange> Full = Tree.topK(N);
+  for (size_t K : Ks) {
+    std::vector<TopKRange> Top = Tree.topK(K);
+    if (Full.size() != N || Top.size() != std::min(K, N)) {
+      fail(Out, "topk-prefix",
+           "%s tree: topK(%zu) returned %zu entries and topK(%zu) %zu",
+           Which, K, Top.size(), N, Full.size());
+      continue;
+    }
+    for (size_t I = 0; I != Top.size(); ++I)
+      if (Top[I] != Full[I]) {
+        fail(Out, "topk-prefix",
+             "%s tree: topK(%zu)[%zu] = [%" PRIx64 ", %" PRIx64
+             "] retained %" PRIu64 " is not topK(%zu)[%zu] = [%" PRIx64
+             ", %" PRIx64 "] retained %" PRIu64,
+             Which, K, I, Top[I].Lo, Top[I].Hi, Top[I].Retained, N, I,
+             Full[I].Lo, Full[I].Hi, Full[I].Retained);
+        break;
+      }
+  }
+}
+
 void DifferentialOracle::checkTopK() {
   const size_t K =
       static_cast<size_t>(std::min<uint64_t>(Tree.numNodes(), 8));
@@ -257,14 +285,7 @@ void DifferentialOracle::checkTopK() {
          {K, static_cast<size_t>(Tree.numNodes()) + 3}) {
       std::vector<TopKRange> Mine = Tree.topK(QueryK);
       std::vector<TopKRange> Twin = FenceTwin->topK(QueryK);
-      bool Match = Mine.size() == Twin.size();
-      for (size_t I = 0; Match && I != Mine.size(); ++I)
-        Match = Mine[I].Lo == Twin[I].Lo &&
-                Mine[I].WidthBits == Twin[I].WidthBits &&
-                Mine[I].Retained == Twin[I].Retained &&
-                Mine[I].LowerWeight == Twin[I].LowerWeight &&
-                Mine[I].UpperWeight == Twin[I].UpperWeight;
-      if (!Match)
+      if (Mine != Twin)
         fail(Violations, "fence-equivalence",
              "topK(%zu) diverges between fenced and unfenced trees "
              "(%zu vs %zu entries)",
@@ -277,17 +298,19 @@ void DifferentialOracle::checkTopK() {
          Top.size());
 
   // k-nesting: the deterministic total order makes topK(k) a prefix of
-  // topK(k + m) over the same tree.
+  // topK(k + m) over the same tree, field for field.
   for (size_t I = 0; I != Top.size() && I != More.size(); ++I) {
     const TopKRange &A = Top[I];
     const TopKRange &B = More[I];
-    if (A.Lo != B.Lo || A.WidthBits != B.WidthBits ||
-        A.Retained != B.Retained)
+    if (A != B)
       fail(Violations, "topk-nesting",
            "topK(%zu)[%zu] = [%" PRIx64 ", %" PRIx64 "] is not "
            "topK(%zu)[%zu] = [%" PRIx64 ", %" PRIx64 "]",
            K, I, A.Lo, A.Hi, K + 4, I, B.Lo, B.Hi);
   }
+
+  // Pruning: both reports are prefixes of the walk that cannot prune.
+  checkTopKPrefix(Tree, {K, K + 4}, "audited", Violations);
 
   uint64_t PrevScore = ~uint64_t(0);
   for (const TopKRange &E : Top) {

@@ -25,8 +25,9 @@
 ///     value heavier than (phi + eps) * n is covered by some reported
 ///     hot range (recall) — Sec 4.1/4.3,
 ///   - topK reports are score-ordered, k-nested (topK(k) is a prefix
-///     of topK(k+m)), bracketed by the truth, and cover every value
-///     whose true count clears the k-th score plus the error budget.
+///     of topK(k+m)), prefixes of the unpruned topK(numNodes()),
+///     bracketed by the truth, and cover every value whose true count
+///     clears the k-th score plus the error budget.
 ///
 /// All checks report violations instead of asserting, so they run in
 /// NDEBUG builds and compose with the fuzz driver's seed minimization.
@@ -44,6 +45,7 @@
 #include "verify/TreeInvariants.h"
 
 #include <cstdint>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -165,6 +167,14 @@ private:
   uint64_t MaxWeight = 1;
   std::vector<InvariantViolation> Violations;
 };
+
+/// Appends a "topk-prefix" violation to \p Out for each K in \p Ks
+/// whose topK(K) over \p Tree is not a field-for-field prefix of its
+/// topK(numNodes()): the K at which topK's heap fills only at the last
+/// node, so its walk prunes no subtree. \p Which names the tree in the
+/// detail.
+void checkTopKPrefix(const RapTree &Tree, std::initializer_list<size_t> Ks,
+                     const char *Which, std::vector<InvariantViolation> &Out);
 
 } // namespace rap
 

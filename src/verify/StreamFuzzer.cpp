@@ -474,41 +474,6 @@ FuzzReport rap::runFuzzEpisode(const FuzzEpisode &Episode, uint64_t NumEvents,
   return Report;
 }
 
-namespace {
-
-/// Per-tree top-k nesting: topK(K) must be a field-for-field prefix
-/// of topK(K + M). Holds deterministically because topK ranks by a
-/// total order; a violation means the order has ties it cannot break.
-void checkTopKNesting(const RapTree &Tree, const char *Which,
-                      std::vector<InvariantViolation> &Out) {
-  const size_t K = 5, M = 4;
-  std::vector<TopKRange> Small = Tree.topK(K);
-  std::vector<TopKRange> Big = Tree.topK(K + M);
-  char Detail[128];
-  if (Big.size() < Small.size()) {
-    std::snprintf(Detail, sizeof(Detail),
-                  "%s tree: topK(%zu) returned %zu entries but topK(%zu) "
-                  "only %zu",
-                  Which, K, Small.size(), K + M, Big.size());
-    Out.push_back({"admission-topk-nesting", Detail});
-    return;
-  }
-  for (size_t I = 0; I != Small.size(); ++I) {
-    const TopKRange &A = Small[I], &B = Big[I];
-    if (A.Lo != B.Lo || A.Hi != B.Hi || A.WidthBits != B.WidthBits ||
-        A.Depth != B.Depth || A.Retained != B.Retained ||
-        A.LowerWeight != B.LowerWeight || A.UpperWeight != B.UpperWeight) {
-      std::snprintf(Detail, sizeof(Detail),
-                    "%s tree: topK(%zu)[%zu] differs from topK(%zu)[%zu]",
-                    Which, K, I, K + M, I);
-      Out.push_back({"admission-topk-nesting", Detail});
-      return;
-    }
-  }
-}
-
-} // namespace
-
 FuzzReport rap::runAdmissionFuzzEpisode(const FuzzEpisode &Episode,
                                         uint64_t NumEvents,
                                         uint64_t CheckEvery) {
@@ -599,8 +564,9 @@ FuzzReport rap::runAdmissionFuzzEpisode(const FuzzEpisode &Episode,
         }
       }
     }
-    checkTopKNesting(On, "on", Out);
-    checkTopKNesting(OffTree, "off", Out);
+    // The oracle checks the on tree's reports; the off twin's must be
+    // prefixes of its own unpruned report too.
+    checkTopKPrefix(OffTree, {5, 9}, "admission-off", Out);
   };
   auto CheckPoint = [&](uint64_t EventsFed) {
     Oracle.checkNow(QueryRng);
@@ -702,31 +668,18 @@ FuzzReport rap::runFenceFuzzEpisode(const FuzzEpisode &Episode,
         Out.push_back({"fence-soundness", Detail});
       }
     }
-    // topK below, at, and above the warm-node prune threshold, so both
-    // the pruned and full-walk regimes are compared.
+    // topK where the walk prunes (small K) and past the node count,
+    // where it prunes nothing, so both regimes are compared.
     for (size_t K : {size_t(1), size_t(5),
                      static_cast<size_t>(On.numNodes()) + 3}) {
       std::vector<TopKRange> OnTop = On.topK(K);
       std::vector<TopKRange> OffTop = OffTree.topK(K);
-      if (OnTop.size() != OffTop.size()) {
+      if (OnTop != OffTop) {
         std::snprintf(Detail, sizeof(Detail),
-                      "topK(%zu): fenced returned %zu entries, unfenced %zu",
+                      "topK(%zu) differs between fenced and unfenced trees "
+                      "(%zu vs %zu entries)",
                       K, OnTop.size(), OffTop.size());
         Out.push_back({"fence-equivalence", Detail});
-        continue;
-      }
-      for (size_t I = 0; I != OnTop.size(); ++I) {
-        const TopKRange &A = OnTop[I], &B = OffTop[I];
-        if (A.Lo != B.Lo || A.Hi != B.Hi || A.WidthBits != B.WidthBits ||
-            A.Retained != B.Retained || A.LowerWeight != B.LowerWeight ||
-            A.UpperWeight != B.UpperWeight) {
-          std::snprintf(Detail, sizeof(Detail),
-                        "topK(%zu)[%zu] differs between fenced and "
-                        "unfenced trees",
-                        K, I);
-          Out.push_back({"fence-equivalence", Detail});
-          break;
-        }
       }
     }
   };
@@ -801,18 +754,26 @@ FuzzReport rap::runShardedFuzzEpisode(const FuzzEpisode &Episode,
 
   // Sequential replay of the identical sub-streams into the exact
   // oracle. Total weight saturates exactly like the tree's counter.
+  // Each sub-stream also fills a tree of its own, absorbed into one as
+  // the session combines its shards, whose top-k reports must be
+  // prefixes of its unpruned one.
   ExactProfiler Exact;
   uint64_t Total = 0;
+  RapTree Replay(Episode.Config);
   for (unsigned T = 0; T < NumThreads; ++T) {
     StreamFuzzer Stream(shardedThreadSeed(Episode.StreamSeed, T),
                         Episode.Shape, Episode.Config.RangeBits);
+    RapTree Part(Episode.Config);
     for (uint64_t I = 0, N = EventsFor(T); I != N; ++I) {
       StreamEvent Event = Stream.next();
       if (Event.Weight != 0)
         Exact.addPoint(Event.X, Event.Weight);
       Total = saturatingAdd(Total, Event.Weight);
+      Part.addPoint(Event.X, Event.Weight);
     }
+    Replay.absorb(Part);
   }
+  checkTopKPrefix(Replay, {1, 8}, "sharded replay", Report.Violations);
 
   char Detail[160];
   // Conservation: no interleaving may lose or duplicate weight.

@@ -20,6 +20,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <new>
 #include <vector>
@@ -98,6 +99,40 @@ TEST(StageZeroBuffer, WideKeysMatchReference) {
     Stream.emplace_back(I != 0 && I % 3 == 0 ? Stream[I - 1].first : R.next(),
                         1);
   runAgainstReference(1024, Stream);
+}
+
+TEST(StageZeroBuffer, MiddleDigitsOnlyMatchStdSort) {
+  // Keys share their two low and three high bytes (nonzero, so the
+  // skipped passes are not just the all-zero top bytes) and differ
+  // only in bytes 2-4: the radix runs its middle passes alone.
+  Rng R(4);
+  std::map<uint64_t, uint64_t> Window;
+  StageZeroBuffer Buffer(4096);
+  while (!Buffer.full()) {
+    uint64_t Key = 0xa5c3e1ULL << 40 | R.nextBelow(uint64_t(1) << 24) << 16 |
+                   0x7c3c;
+    uint64_t Weight = 1 + R.nextBelow(9);
+    Buffer.push(Key, Weight);
+    Window[Key] += Weight;
+  }
+  std::vector<Pair> Expected(Window.begin(), Window.end());
+  std::vector<Pair> Sorted = Expected;
+  std::sort(Sorted.begin(), Sorted.end());
+  ASSERT_EQ(Sorted, Expected);
+  EXPECT_EQ(Buffer.drain(), Expected);
+
+  // Immediate mode (capacity 0) keeps its pairs unsorted until the
+  // drain, which radix-sorts them the same way past 64 pairs.
+  StageZeroBuffer Immediate(0);
+  std::vector<Pair> Pushed;
+  for (uint64_t I = 0; I != 300; ++I) {
+    uint64_t Key = 0xa5c3e1ULL << 40 | R.nextBelow(uint64_t(1) << 24) << 16 |
+                   0x7c3c;
+    Immediate.push(Key, I + 1);
+    Pushed.emplace_back(Key, I + 1);
+  }
+  std::sort(Pushed.begin(), Pushed.end());
+  EXPECT_EQ(Immediate.drain(), Pushed);
 }
 
 TEST(StageZeroBuffer, SkewedStreamCombines) {
